@@ -8,9 +8,9 @@ driver loop (see ``docs/architecture.md``, "Layer 5"):
 - :mod:`repro.engine.shards` — :class:`ShardPool`, one estimator per
   shard with an *exactly additive* query (disjoint shards make shard
   sums unbiased even for non-mergeable SMB);
-- :mod:`repro.engine.pipeline` — :class:`IngestPipeline`, a
-  bounded-queue producer/consumer pipeline with one worker thread per
-  shard and backpressure;
+- :mod:`repro.engine.pipeline` — :class:`IngestPipeline`, chunked
+  ingestion that hashes each chunk once and applies its per-shard
+  sub-planes in the submitting thread, safe for many producers;
 - :mod:`repro.engine.checkpoint` — atomic on-disk snapshot/restore of
   pools and estimators (write-to-temp + rename, CRC-validated);
 - :mod:`repro.engine.recovery` — :class:`CheckpointManager` and
@@ -24,7 +24,7 @@ Quickstart::
 
     pool = ShardPool.of("SMB", memory_bits=20_000, num_shards=4)
     with IngestPipeline(pool) as pipe:
-        pipe.submit(batch)          # backpressured, concurrent
+        pipe.submit(batch)          # thread-safe, applied on return
         print(pipe.estimate())      # drain + additive shard-sum query
     checkpoint.save(pool, "pool.ckpt")
 """

@@ -6,7 +6,7 @@ Drives a synthetic (optionally duplicated) stream through a
 estimation accuracy, and optionally checkpoints/restores the pool::
 
     repro engine --estimator SMB --shards 4 --items 1000000
-    repro engine --shards 8 --workers 4 --items 4000000
+    repro engine --shards 8 --items 4000000
     repro engine --shards 8 --checkpoint pool.ckpt
     repro engine --restore pool.ckpt --items 500000
     repro engine --metrics-out metrics.json --metrics-interval 5
@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro engine",
         description=(
             "Sharded concurrent ingestion: partition a stream across K "
-            "estimator shards, ingest through a backpressured pipeline, "
+            "estimator shards, ingest through a chunked pipeline, "
             "and report throughput and accuracy."
         ),
     )
@@ -91,16 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--chunk", type=int, default=DEFAULT_CHUNK, metavar="C",
         help=f"pipeline chunk size (default: {DEFAULT_CHUNK})",
-    )
-    parser.add_argument(
-        "--queue-depth", type=int, default=8, metavar="D",
-        help="per-shard queue bound, in sub-batches (default: 8)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=0, metavar="W",
-        help="ingest through W shard worker processes with shared-memory "
-        "estimator planes instead of in-process threads (default: 0 = "
-        "threaded; see docs/parallel.md)",
     )
     parser.add_argument("--seed", type=int, default=0, help="pool seed")
     parser.add_argument(
@@ -163,8 +153,6 @@ def engine_main(argv: list[str] | None = None) -> int:
         raise SystemExit("--metrics-interval must be >= 0")
     if args.metrics_interval and not args.metrics_out:
         raise SystemExit("--metrics-interval requires --metrics-out")
-    if args.workers < 0:
-        raise SystemExit("--workers must be >= 0")
     if args.keep < 1:
         raise SystemExit("--keep must be >= 1")
     if args.checkpoint_every < 0:
@@ -242,7 +230,6 @@ def _run(args: "argparse.Namespace") -> int:
             design_cardinality=args.design_cardinality,
             seed=args.seed,
         )
-        assert isinstance(pool, ShardPool)  # thread backend (no workers)
 
     length = int(round(args.items * args.duplication))
     if length > args.items:
@@ -261,9 +248,8 @@ def _run(args: "argparse.Namespace") -> int:
     baseline = pool.query()  # non-zero after a --restore / --resume
     start = time.perf_counter()
     with IngestPipeline(
-        pool, chunk_size=args.chunk, queue_depth=args.queue_depth,
+        pool, chunk_size=args.chunk,
         checkpoint_manager=manager, checkpoint_every=args.checkpoint_every,
-        workers=args.workers,
     ) as pipeline:
         pipeline.checkpoint_meta = lambda: {
             "records_ingested": skip + pipeline.records_submitted,
@@ -287,9 +273,7 @@ def _run(args: "argparse.Namespace") -> int:
             if snapshotter is not None:
                 snapshotter.stop()
         elapsed = time.perf_counter() - start
-        # Ask the pipeline, not the pool: with --workers the template
-        # pool is stale until the backend syncs shard state back.
-        estimate = pipeline.query_live()
+        estimate = pool.query()
         if manager is not None:
             final = pipeline.checkpoint_now()
             print(

@@ -1,86 +1,71 @@
-"""Bounded-queue producer/consumer ingestion over a shard pool.
+"""Streaming ingestion over a shard pool, applied in the submitting thread.
 
 :class:`IngestPipeline` turns a :class:`~repro.engine.shards.ShardPool`
-into a concurrent streaming sink:
+into a streaming sink that many threads may feed at once. The
+submitting thread canonicalizes each incoming batch, slices it into
+chunks of ``chunk_size`` items, builds one shared
+:class:`~repro.kernels.HashPlane` per chunk, prefetches the hash arrays
+the pool's shards will read, splits the chunk into per-shard sub-planes
+and applies each sub-plane to its shard — so a chunk is hashed exactly
+once, and a drained pipeline holds *bit-for-bit* the same state as
+synchronous ``pool.record_many`` over the same stream (asserted by the
+stateful engine test).
 
-- the **submitting thread** canonicalizes each incoming batch, slices it
-  into chunks of ``chunk_size`` items, builds one shared
-  :class:`~repro.kernels.HashPlane` per chunk, prefetches the hash
-  arrays the pool's shards will read, and enqueues gathered per-shard
-  sub-planes — so a chunk is hashed exactly once, in the producer;
-- **one worker thread per shard** drains its own bounded FIFO queue into
-  its own estimator. Exclusive shard ownership means no locks on the hot
-  path, and FIFO ordering preserves within-shard arrival order — so a
-  drained pipeline holds *bit-for-bit* the same state as synchronous
-  ``pool.record_many`` over the same stream (asserted by the stateful
-  engine test). Sub-planes own gathered copies of their arrays, so
-  handing them across the thread boundary is safe.
+**One apply lock.** The shards are applied under one per-pipeline
+lock, taken once per chunk; hashing and splitting run outside it. The
+lock is what makes :meth:`IngestPipeline.submit` safe to call from any
+number of threads concurrently — in particular from an executor pool
+driven by an ``asyncio`` event loop (``loop.run_in_executor``), which
+is how the serving layer (:mod:`repro.serve`) feeds the pipeline. The
+pipeline starts no threads of its own. Within-shard arrival order
+across producers is whatever order their chunks take the lock in —
+estimator state is order-insensitive for a fixed key *set*, and
+per-producer FIFO still holds, which is what the serving layer's
+per-connection semantics need.
 
-**Backpressure.** Queues are bounded (``queue_depth`` sub-batches per
-shard); :meth:`IngestPipeline.submit` blocks when a shard's consumer
-falls behind, so an unbounded producer cannot exhaust memory.
-
-**Multiple producers.** :meth:`submit` may be called from any number of
-threads concurrently — in particular from an executor pool driven by an
-``asyncio`` event loop (``loop.run_in_executor``), which is how the
-serving layer (:mod:`repro.serve`) feeds the pipeline. All counters are
-lock-guarded, and :meth:`checkpoint_now` *quiesces* the producers (new
-submits park at a gate, in-flight submits are waited out) before
-draining, so a checkpoint can never capture a half-enqueued chunk from
-a concurrent producer. Within-shard arrival order across producers is
-whatever order their enqueues interleave in — estimator state is
-order-insensitive for a fixed key *set*, and per-producer FIFO still
-holds, which is what the serving layer's per-connection semantics need.
-
-**Shutdown.** :meth:`drain` blocks until every enqueued sub-batch has
-been applied (safe point for :meth:`estimate` or a checkpoint);
-:meth:`close` drains, stops the workers, and re-raises the first worker
-error, if any. Lifecycle transitions are lock-guarded: concurrent
-``close`` calls elect exactly one finisher, a submit racing a close
-either completes before the stop sentinels go out or raises
-``RuntimeError`` — never enqueues behind a sentinel. The pipeline is a
-context manager::
+**Quiescing.** :meth:`checkpoint_now` parks new submits at an entry
+gate and waits out in-flight ones before saving, so a checkpoint can
+never capture a half-applied chunk from a concurrent producer.
+:meth:`drain` is a barrier on the apply lock; :meth:`close` refuses new
+submits, waits out in-flight ones and re-raises a latched failure.
+Submit-vs-close is deterministic: a submit racing a close either
+completes before the close returns or raises ``RuntimeError``. The
+pipeline is a context manager::
 
     with IngestPipeline(pool) as pipe:
         for batch in batches:
             pipe.submit(batch)
     print(pool.query())
 
-**Failure accounting.** Once a worker has failed, the remaining workers
-drop every further sub-batch instead of applying it; ``submit`` stops
-enqueueing at the next chunk boundary and raises. The counters stay
-honest through this: ``records_submitted`` counts only records of
-chunks that were actually enqueued, ``records_dropped`` counts records
-the workers discarded (including the partially-applied failing batch,
-whose shard state is suspect), so ``records_submitted -
-records_dropped`` is the number of records fully applied to the pool.
+**Failure accounting.** A shard that raises while applying its
+sub-plane drops that sub-plane (its state is suspect) and the
+unapplied rest of the chunk; the failing submit re-raises the shard's
+error, the failure latches, and every later ``submit``, ``drain`` and
+``close`` raises ``RuntimeError("ingest worker failed")`` from it. The
+counters stay honest through this, per sub-plane: ``records_submitted
+== records_applied + records_dropped`` at every drained point.
 
 **Observability.** When the process-wide :mod:`repro.obs` registry is
-enabled, the pipeline emits submitted/dropped counters, per-shard queue
-depth gauges, and backpressure-wait / batch-apply latency histograms,
-and attaches per-shard SMB adaptivity gauges via the pool observer
-(exposed as :attr:`IngestPipeline.pool_observer`). All metric work
-happens per chunk or per sub-batch — never per item — and with the
-default :class:`~repro.obs.metrics.NullRegistry` the instrumented
-branches collapse to a single ``is None`` check.
+enabled, the pipeline emits submitted/dropped counters and per-shard
+apply latency histograms, and attaches per-shard SMB adaptivity gauges
+via the pool observer (exposed as
+:attr:`IngestPipeline.pool_observer`). All metric work happens per
+chunk or per sub-plane — never per item — and with the default
+:class:`~repro.obs.metrics.NullRegistry` the instrumented branches
+collapse to a single ``is None`` check.
 
 **Durability.** Constructed with a
 :class:`~repro.engine.recovery.CheckpointManager` and
 ``checkpoint_every=N``, the submit path checkpoints the pool at a
-drained safe point every ``N`` enqueued records (see
+quiesced safe point every ``N`` submitted records (see
 :meth:`IngestPipeline.checkpoint_now` and ``docs/recovery.md``); the
-crash windows on both sides of the queue hand-off carry
-:mod:`repro.testing.faults` failpoints (``pipeline.queue-put``,
-``pipeline.worker-apply``) for the fault-injection suite.
-
-Throughput note: CPython threads interleave on the GIL, but NumPy
-releases it inside the vectorized kernels that dominate the batch path,
-so partitioning and per-shard recording genuinely overlap.
+crash window before each sub-plane apply carries the
+:mod:`repro.testing.faults` failpoint ``pipeline.worker-apply`` for
+the fault-injection suite.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from typing import TYPE_CHECKING, Any, Callable, Iterable
@@ -97,22 +82,16 @@ if TYPE_CHECKING:  # import cycle guard: recovery imports checkpoint
     from types import TracebackType
 
     from repro.engine.recovery import CheckpointManager, Generation
-    from repro.obs.instrument import (
-        ParallelMetrics,
-        PipelineMetrics,
-        PoolObserver,
-    )
+    from repro.obs.instrument import PipelineMetrics, PoolObserver
 
 #: Default chunk size of the submit path — same order as SMB's dedup
 #: window (``repro.core.smb.BATCH_CHUNK``), large enough to amortize
-#: vectorized hashing, small enough to keep queues responsive.
+#: vectorized hashing, small enough to bound one hold of the apply lock.
 DEFAULT_CHUNK = 8192
-
-_STOP = None  # queue sentinel
 
 
 class IngestPipeline:
-    """Concurrent, backpressured ingestion into a shard pool.
+    """Chunked, thread-safe ingestion into a shard pool.
 
     Parameters
     ----------
@@ -121,44 +100,26 @@ class IngestPipeline:
         write ownership of the pool until :meth:`close`.
     chunk_size:
         Submitted batches are partitioned in chunks of this many items.
-    queue_depth:
-        Bound of each per-shard queue, in sub-batches; the submit path
-        blocks (backpressure) when a queue is full.
     checkpoint_manager / checkpoint_every:
         Optional crash-durability wiring: with a
         :class:`~repro.engine.recovery.CheckpointManager` and a
-        positive ``checkpoint_every`` (records), the submit path drains
-        to a safe point and writes a checkpoint generation every time
-        that many records have been enqueued since the last one. Set
-        :attr:`checkpoint_meta` to enrich the generation metadata (the
-        engine CLI records the absolute stream offset there for exact
-        resume).
-    workers:
-        0 (default) runs the threaded backend described above. A
-        positive count switches to the **process backend**: chunks are
-        routed to a :class:`~repro.parallel.pool.ProcessShardPool` with
-        that many worker processes instead of per-shard threads, so
-        hashing and recording scale past one core. The recorded state
-        is bit-for-bit identical either way; checkpoints are composed
-        from worker state at the same safe points and restore on either
-        backend. A crashed worker surfaces as
-        :class:`~repro.parallel.pool.WorkerCrashedError` from the next
-        submit/drain (the process backend never drops-and-continues).
+        positive ``checkpoint_every`` (records), the submit path
+        quiesces to a safe point and writes a checkpoint generation
+        every time that many records have been submitted since the last
+        one. Set :attr:`checkpoint_meta` to enrich the generation
+        metadata (the engine CLI records the absolute stream offset
+        there for exact resume).
     """
 
     def __init__(
         self,
         pool: ShardPool,
         chunk_size: int = DEFAULT_CHUNK,
-        queue_depth: int = 8,
         checkpoint_manager: "CheckpointManager | None" = None,
         checkpoint_every: int = 0,
-        workers: int = 0,
     ) -> None:
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if queue_depth < 1:
-            raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
         if checkpoint_every < 0:
             raise ValueError(
                 f"checkpoint_every must be >= 0, got {checkpoint_every}"
@@ -167,13 +128,10 @@ class IngestPipeline:
             raise ValueError(
                 "checkpoint_every requires a checkpoint_manager"
             )
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
         self.pool = pool
         self.chunk_size = int(chunk_size)
-        self.workers = int(workers)
         self.records_submitted = 0  # guarded-by: _count_lock
-        self._records_applied = 0  # guarded-by: _count_lock
+        self.records_applied = 0  # guarded-by: _count_lock
         self.records_dropped = 0  # guarded-by: _count_lock
         self.checkpoint_manager = checkpoint_manager
         self.checkpoint_every = int(checkpoint_every)
@@ -181,165 +139,62 @@ class IngestPipeline:
         #: checkpoint's metadata (e.g. an absolute stream offset).
         self.checkpoint_meta: Callable[[], dict[str, Any]] | None = None
         self._records_since_checkpoint = 0  # guarded-by: _count_lock
-        # One lock for every counter that more than one thread writes:
-        # submitted / applied / dropped / since-checkpoint / the pool's
-        # routing-hash ops. Producers may be an executor pool, so the
-        # unsynchronized += of a single-producer design would lose
-        # updates. Cost is one uncontended acquire per *chunk* or
-        # sub-batch, never per item.
+        # One lock for every counter: submitted / applied / dropped /
+        # since-checkpoint / the pool's routing-hash ops. Producers may
+        # be an executor pool, so unsynchronized += would lose updates.
+        # Cost is one uncontended acquire per chunk, never per item.
         self._count_lock = threading.Lock()
-        if self.workers:
-            from repro.parallel import ProcessShardPool
-
-            self._backend: "ProcessShardPool | None" = ProcessShardPool(
-                pool, self.workers
-            )
-        else:
-            self._backend = None
-        # Each queue carries gathered per-shard HashPlane sub-batches
-        # plus the _STOP sentinel, hence Any.
-        self._queues: list[queue.Queue[Any]] = [] if self._backend else [
-            queue.Queue(maxsize=queue_depth) for __ in pool.shards
-        ]
+        # Serializes every write to the pool's shards; taken once per
+        # chunk. Never held across a checkpoint (which waits for other
+        # producers to finish their chunks).
+        self._apply_lock = threading.Lock()
+        # Apply failures latch here (appended under _apply_lock; read
+        # lock-free by the fast-fail checks).
         self._errors: list[BaseException] = []
-        # Lifecycle state: _closed flips exactly once, under _lifecycle;
-        # submits register in _active_submits so close() can wait for
-        # them instead of racing them to the queue sentinels. _paused
-        # counts outstanding quiesce requests (checkpoint_now): while it
-        # is non-zero, new submits park at the gate instead of starting,
-        # so a checkpoint drains a stable, chunk-aligned state even with
-        # concurrent producers.
+        # Lifecycle state: _closed flips once, under _lifecycle; submits
+        # register in _active_submits so close() and a checkpoint can
+        # wait them out. _paused counts outstanding quiesce requests
+        # (checkpoint_now): while it is non-zero, new submits park at
+        # the gate instead of starting.
         self._lifecycle = threading.Condition()
         self._active_submits = 0  # guarded-by: _lifecycle
         self._paused = 0  # guarded-by: _lifecycle
+        self._closed = False  # guarded-by: _lifecycle
         # Serializes checkpoint writers; the periodic trigger inside
         # submit try-acquires it so two producers crossing the threshold
         # together cannot deadlock waiting for each other to quiesce.
         self._checkpoint_mutex = threading.Lock()
-        self._close_complete = threading.Event()
-        self._closed = False  # guarded-by: _lifecycle
         registry = get_registry()
         self._obs: "PipelineMetrics | None" = None
         #: Per-shard estimate/skew gauges (None when obs disabled);
         #: call ``pool_observer.update()`` at safe points.
         self.pool_observer: "PoolObserver | None" = None
-        self._parallel_obs: "ParallelMetrics | None" = None
         if registry.enabled:
-            from repro.obs.instrument import (
-                ParallelMetrics,
-                PipelineMetrics,
-                PoolObserver,
-            )
+            from repro.obs.instrument import PipelineMetrics, PoolObserver
 
             self._obs = PipelineMetrics(registry, pool.num_shards)
             self.pool_observer = PoolObserver(registry, pool)
-            if self._backend is not None:
-                self._parallel_obs = ParallelMetrics(
-                    registry, self._backend.num_workers
-                )
-        self._workers = [] if self._backend else [
-            threading.Thread(
-                target=self._work,
-                args=(shard_index,),
-                name=f"ingest-shard-{shard_index}",
-                daemon=True,
-            )
-            for shard_index in range(pool.num_shards)
-        ]
-        for worker in self._workers:
-            worker.start()
 
-    # ------------------------------------------------------------------
-    # Worker side
-    # ------------------------------------------------------------------
-    def _work(self, shard_index: int) -> None:
-        """Drain one shard's queue into its estimator (worker thread).
-
-        After any worker has failed, every worker *drops* further
-        sub-batches (counted in :attr:`records_dropped`) instead of
-        applying them — the pool state is already suspect and the
-        submitting thread is about to raise.
-        """
-        shard = self.pool.shards[shard_index]
-        inbox = self._queues[shard_index]
-        obs = self._obs
-        while True:
-            batch = inbox.get()
-            try:
-                if batch is _STOP:
-                    return
-                if self._errors:
-                    self._count_dropped(batch.size)
-                elif obs is None:
-                    fire("pipeline.worker-apply")
-                    shard._record_plane(batch)
-                    self._count_applied(batch.size)
-                else:
-                    began = time.perf_counter()
-                    try:
-                        fire("pipeline.worker-apply")
-                        shard._record_plane(batch)
-                        self._count_applied(batch.size)
-                    finally:
-                        obs.apply_latency[shard_index].observe(
-                            time.perf_counter() - began
-                        )
-                        obs.queue_depth[shard_index].set(inbox.qsize())
-            except BaseException as error:  # pragma: no cover - defensive
-                self._errors.append(error)
-                # The failing batch may be partially applied; its shard
-                # state is suspect, so bill the whole batch as dropped.
-                self._count_dropped(batch.size)
-            finally:
-                inbox.task_done()
-
-    def _count_dropped(self, count: int) -> None:
-        with self._count_lock:
-            self.records_dropped += int(count)
-        if self._obs is not None:
-            self._obs.dropped.inc(count)
-            self._obs.batches_dropped.inc()
-
-    def _count_applied(self, count: int) -> None:
-        with self._count_lock:
-            self._records_applied += int(count)
-
-    @property
-    def records_applied(self) -> int:
-        """Records fully applied to the pool.
-
-        Thread backend: the worker-maintained counter. Process backend:
-        a live read of the workers' shared-memory counters (no IPC)."""
-        if self._backend is not None:
-            return self._backend.records_applied
-        with self._count_lock:
-            return self._records_applied
-
-    # ------------------------------------------------------------------
-    # Producer side
-    # ------------------------------------------------------------------
     def submit(self, items: Iterable[object] | np.ndarray) -> int:
-        """Partition a batch and enqueue it; returns the enqueued count.
+        """Partition a batch and apply it to the shards; returns its size.
 
-        Blocks while any target shard queue is full (backpressure).
-        Raises ``RuntimeError`` if the pipeline is closed or a worker
-        has failed — the failure check runs before *every* chunk, so a
-        mid-stream worker death stops the producer at the next chunk
-        boundary. Counters (:attr:`records_submitted`, the pool's
-        routing hash ops) only ever cover chunks whose every sub-plane
-        was actually enqueued — both are billed *after* the enqueue
-        loop, so a failure mid-chunk (partitioner error, injected
-        ``pipeline.queue-put`` fault) cannot skew routing-ops
-        accounting relative to the record counters.
+        Raises ``RuntimeError`` if the pipeline is closed or an earlier
+        apply has failed — the failure check runs before *every* chunk.
+        The submit whose apply fails re-raises the shard's own error at
+        once (see :meth:`_apply`). A chunk is billed
+        (:attr:`records_submitted`, the pool's routing hash ops) once it
+        has been split, before any of it is applied, so a failure
+        mid-chunk leaves ``records_submitted == records_applied +
+        records_dropped`` and routing ops equal to submitted records.
 
         Submit-vs-close is deterministic: a submit that starts after
         :meth:`close` was called raises immediately; a submit already
-        in flight is waited for by ``close`` (nothing is ever enqueued
-        behind the stop sentinel). While a :meth:`checkpoint_now` is
-        quiescing, new submits park at the entry gate and resume once
-        the generation is written — callers observe extra latency, not
-        an error. Safe to call from many threads at once (an
-        ``asyncio`` ``run_in_executor`` pool included).
+        in flight is waited for by ``close``. While a
+        :meth:`checkpoint_now` is quiescing, new submits park at the
+        entry gate and resume once the generation is written — callers
+        observe extra latency, not an error. Safe to call from many
+        threads at once (an ``asyncio`` ``run_in_executor`` pool
+        included).
         """
         with self._lifecycle:
             while self._paused and not self._closed:
@@ -358,34 +213,15 @@ class IngestPipeline:
         """The body of :meth:`submit`, after lifecycle registration."""
         self._raise_pending()
         values = canonical_u64_array(items)
-        if self._backend is not None:
-            return self._submit_process(values)
-        # Hash in the producer, at full chunk width: NumPy releases the
-        # GIL inside the vectorized hash kernels, so prefetching here
-        # overlaps with the workers applying earlier sub-planes.
         requests = self.pool.plane_requests()
         obs = self._obs
-        enqueued = 0
         for start in range(0, values.size, self.chunk_size):
             self._raise_pending()  # fast-fail between chunks
             plane = HashPlane(values[start:start + self.chunk_size])
             plane.prefetch(requests)
-            for shard_index, part in enumerate(
-                self.pool.partitioner.split_plane(plane)
-            ):
-                if not part.size:
-                    continue
-                fire("pipeline.queue-put")
-                if obs is None:
-                    self._queues[shard_index].put(part)
-                else:
-                    self._put_observed(shard_index, part, obs)
-            # Billed only after the whole chunk is enqueued — the
-            # routing hashes were *used* (split_plane), but accounting
-            # must stay consistent with records_submitted, which a
-            # mid-chunk failure must not advance either. Same
-            # routing-hash accounting as ShardPool._record_plane (the
-            # pipeline partitions directly, bypassing that method).
+            parts = self.pool.partitioner.split_plane(plane)
+            # Same routing-hash accounting as ShardPool._record_plane
+            # (the pipeline partitions directly, bypassing that method).
             checkpoint_due = False
             with self._count_lock:
                 if self.pool.num_shards > 1:
@@ -397,9 +233,10 @@ class IngestPipeline:
                         self._records_since_checkpoint
                         >= self.checkpoint_every
                     )
-            enqueued += plane.size
             if obs is not None:
                 obs.submitted.inc(plane.size)
+            with self._apply_lock:
+                self._apply(parts)
             if checkpoint_due:
                 # Try-acquire: when several producers cross the
                 # threshold together exactly one writes the generation
@@ -412,56 +249,64 @@ class IngestPipeline:
                         self._checkpoint_quiesced(None, active_allowance=1)
                     finally:
                         self._checkpoint_mutex.release()
-        return enqueued
+        return int(values.size)
 
-    def _submit_process(self, values: np.ndarray) -> int:
-        """Process-backend body of :meth:`submit`: route chunks to the
-        worker rings. The backend bills the pool's routing-hash counter
-        itself; record counters and periodic checkpoints behave exactly
-        as on the threaded path."""
-        backend = self._backend
-        assert backend is not None
+    def _apply(self, parts: list[HashPlane]) -> None:
+        """Apply one chunk's sub-planes to their shards, in shard order.
+
+        The caller holds :attr:`_apply_lock`. A shard that raises
+        latches its error, which is re-raised; that sub-plane (it may be
+        partially applied, so its shard state is suspect) and the rest
+        of the chunk count as dropped instead of applied. So does the
+        whole chunk when another producer's failure has latched.
+        """
         obs = self._obs
-        enqueued = 0
-        for start in range(0, values.size, self.chunk_size):
-            chunk = values[start:start + self.chunk_size]
-            fire("pipeline.queue-put")
-            backend.submit_values(chunk)
-            checkpoint_due = False
+        applied = applied_parts = 0
+        try:
+            self._raise_pending()
+            for shard_index, part in enumerate(parts):
+                if not part.size:
+                    continue
+                began = time.perf_counter() if obs is not None else 0.0
+                try:
+                    fire("pipeline.worker-apply")
+                    self.pool.shards[shard_index]._record_plane(part)
+                except BaseException as error:
+                    self._errors.append(error)
+                    raise
+                finally:
+                    if obs is not None:
+                        obs.apply_latency[shard_index].observe(
+                            time.perf_counter() - began
+                        )
+                applied += part.size
+                applied_parts += 1
+        finally:
+            dropped = sum(part.size for part in parts) - applied
             with self._count_lock:
-                self.records_submitted += chunk.size
-                if self.checkpoint_every:
-                    self._records_since_checkpoint += chunk.size
-                    checkpoint_due = (
-                        self._records_since_checkpoint
-                        >= self.checkpoint_every
-                    )
-            enqueued += chunk.size
-            if obs is not None:
-                obs.submitted.inc(chunk.size)
-            if checkpoint_due:
-                if self._checkpoint_mutex.acquire(blocking=False):
-                    try:
-                        self._checkpoint_quiesced(None, active_allowance=1)
-                    finally:
-                        self._checkpoint_mutex.release()
-        return enqueued
+                self.records_applied += applied
+                self.records_dropped += dropped
+            if obs is not None and dropped:
+                obs.dropped.inc(dropped)
+                obs.batches_dropped.inc(
+                    sum(1 for part in parts if part.size) - applied_parts
+                )
 
     def checkpoint_now(
         self, meta: dict[str, Any] | None = None
     ) -> "Generation":
-        """Drain to a safe point and write one checkpoint generation.
+        """Quiesce to a safe point and write one checkpoint generation.
 
         Requires a ``checkpoint_manager``. Producers are quiesced
         first (new submits park at the entry gate, in-flight submits
-        are waited out) and the pool is then drained, so the generation
-        captures a state exactly equivalent to a synchronous ingest of
-        every record submitted so far — never a half-enqueued chunk
-        from a concurrent producer. The metadata records
-        :attr:`records_submitted` (plus anything the
-        :attr:`checkpoint_meta` hook or the ``meta`` argument adds), so
-        a resumed run knows the exact stream offset to replay from.
-        Concurrent callers serialize; each writes its own generation.
+        are waited out), so the generation captures a state exactly
+        equivalent to a synchronous ingest of every record submitted so
+        far — never a half-applied chunk from a concurrent producer.
+        The metadata records :attr:`records_submitted` (plus anything
+        the :attr:`checkpoint_meta` hook or the ``meta`` argument
+        adds), so a resumed run knows the exact stream offset to replay
+        from. Concurrent callers serialize; each writes its own
+        generation.
         """
         with self._checkpoint_mutex:
             return self._checkpoint_quiesced(meta, active_allowance=0)
@@ -472,9 +317,9 @@ class IngestPipeline:
         """Quiesce producers, drain, save one generation, resume.
 
         ``active_allowance`` is the number of in-flight submits allowed
-        to remain registered while draining: 0 for an external caller,
-        1 when called *from inside* a submit (the caller itself). The
-        caller must hold :attr:`_checkpoint_mutex`.
+        to remain registered: 0 for an external caller, 1 when called
+        *from inside* a submit (the caller itself, which has released
+        the apply lock). The caller must hold :attr:`_checkpoint_mutex`.
         """
         if self.checkpoint_manager is None:
             raise RuntimeError(
@@ -486,7 +331,6 @@ class IngestPipeline:
                 self._lifecycle.wait()
         try:
             self.drain()
-            self.sync_pool()
             merged: dict[str, Any] = {}
             if self.checkpoint_meta is not None:
                 merged.update(self.checkpoint_meta())
@@ -503,132 +347,44 @@ class IngestPipeline:
                 self._paused -= 1
                 self._lifecycle.notify_all()
 
-    def _put_observed(
-        self, shard_index: int, part: HashPlane, obs: "PipelineMetrics"
-    ) -> None:
-        """Enqueue one sub-batch, timing any backpressure stall."""
-        inbox = self._queues[shard_index]
-        try:
-            inbox.put_nowait(part)
-        except queue.Full:
-            began = time.perf_counter()
-            inbox.put(part)
-            obs.backpressure.observe(time.perf_counter() - began)
-        obs.queue_depth[shard_index].set(inbox.qsize())
-
     def drain(self) -> None:
-        """Block until every enqueued sub-batch has been applied.
+        """Wait for any chunk being applied, then surface a latched failure.
 
-        After ``drain`` returns (and before further ``submit`` calls)
-        the estimator state is identical to a synchronous ingest of all
-        submitted items — a safe point to query or checkpoint. On the
-        process backend this is a flush barrier across the worker
-        rings; the wrapped pool object itself stays stale until
-        :meth:`sync_pool`.
+        Once every producer has returned from :meth:`submit`, the
+        estimator state is identical to a synchronous ingest of all
+        submitted items — a safe point to query or checkpoint.
         """
-        if self._backend is not None:
-            self._backend.drain()
-            if self._parallel_obs is not None:
-                self._parallel_obs.update(self._backend)
-            return
-        for inbox in self._queues:
-            inbox.join()
-        if self.pool_observer is not None:
-            self.pool_observer.update()
-        self._raise_pending()
-
-    def sync_pool(self) -> None:
-        """Make ``self.pool`` reflect all applied records.
-
-        A no-op on the threaded backend (workers mutate the pool's
-        shards in place); on the process backend this folds worker
-        shard state back into the pool — required before serializing
-        or checkpointing it. Callers should :meth:`drain` first.
-        """
-        if self._backend is not None:
-            self._backend.sync()
+        with self._apply_lock:
             if self.pool_observer is not None:
                 self.pool_observer.update()
+        self._raise_pending()
 
     def query_live(self) -> float:
         """The current estimate without draining (the serving layer's
-        O(1) ESTIMATE read): applied records only, never blocks on
-        in-flight batches. Thread backend reads the pool; process
-        backend reads the workers' shared-memory estimate headers."""
-        if self._backend is not None:
-            return self._backend.query()
+        O(1) ESTIMATE read): a lock-free read of the pool, which never
+        waits for a chunk being applied."""
         return self.pool.query()
 
     def estimate(self) -> float:
         """Drain, then return the pool's cardinality estimate."""
         self.drain()
-        if self._backend is not None:
-            return self._backend.query()
         return self.pool.query()
 
     def close(self) -> None:
-        """Drain, stop the workers, and surface any worker error.
+        """Refuse new submits, wait out in-flight ones, surface any failure.
 
-        Thread-safe and idempotent *under concurrency*: the ``_closed``
-        flip happens under the lifecycle lock, so exactly one caller
-        becomes the finisher (joins queues, enqueues the stop sentinels
-        once, joins the workers); every other concurrent or later call
-        waits for that shutdown to complete and returns. The finisher
-        also waits out in-flight :meth:`submit` calls before sending
-        the sentinels, so no sub-batch is ever enqueued behind a
-        sentinel — the submit-vs-close race resolves deterministically
-        (late submits raise, in-flight submits finish first).
+        Thread-safe and idempotent: every call flips the pipeline to
+        closed, wakes submits parked at the pause gate (they raise),
+        waits until no submit is in flight and then drains — so a
+        submit racing a close either completes before ``close`` returns
+        or raises ``RuntimeError``.
         """
         with self._lifecycle:
-            finisher = not self._closed
             self._closed = True
-            # Wake submits parked at the pause gate so they observe the
-            # close and raise instead of sleeping until the in-progress
-            # checkpoint (if any) notifies.
             self._lifecycle.notify_all()
-            if finisher:
-                while self._active_submits:
-                    self._lifecycle.wait()
-        if not finisher:
-            self._close_complete.wait()
-            return
-        try:
-            if self._backend is not None:
-                self._shutdown_backend()
-            else:
-                for inbox in self._queues:
-                    inbox.join()
-                for inbox in self._queues:
-                    inbox.put(_STOP)
-                for worker in self._workers:
-                    worker.join()
-                if self.pool_observer is not None:
-                    self.pool_observer.update()
-        finally:
-            self._close_complete.set()
-        self._raise_pending()
-
-    def _shutdown_backend(self) -> None:
-        """Process-backend shutdown: fold state back, stop the workers.
-
-        A crashed worker is recorded (surfaced by ``_raise_pending`` at
-        the end of :meth:`close`) and the remaining workers still shut
-        down cleanly — close never hangs on a dead process."""
-        from repro.parallel import WorkerCrashedError
-
-        backend = self._backend
-        assert backend is not None
-        try:
-            backend.drain()
-            backend.sync()
-            if self.pool_observer is not None:
-                self.pool_observer.update()
-            if self._parallel_obs is not None:
-                self._parallel_obs.update(backend)
-        except WorkerCrashedError as error:
-            self._errors.append(error)
-        finally:
-            backend.close()
+            while self._active_submits:
+                self._lifecycle.wait()
+        self.drain()
 
     def _raise_pending(self) -> None:
         if self._errors:
@@ -646,8 +402,7 @@ class IngestPipeline:
         exc: BaseException | None,
         tb: "TracebackType | None",
     ) -> None:
-        """Exit: close the pipeline (always drains — on a worker
-        failure the remaining queue entries drain as counted drops)."""
+        """Exit: close the pipeline (raises a latched apply failure)."""
         self.close()
 
     def __repr__(self) -> str:

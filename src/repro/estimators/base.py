@@ -183,8 +183,8 @@ class CardinalityEstimator(ABC):
         """Restore an estimator serialized by :meth:`to_bytes`.
 
         The counterpart capability to :meth:`to_bytes`: every
-        serializable estimator overrides both, and the checkpoint and
-        worker layers resolve classes through
+        serializable estimator overrides both, and the checkpoint
+        layer resolves classes through
         :func:`~repro.engine.shards.estimator_registry` before calling
         this.
         """

@@ -1,7 +1,7 @@
 """Strict binary-decoding helpers shared by every ``from_bytes``.
 
-Serialized sketches travel between processes (checkpoints, worker
-arenas) and between nodes (the serve protocol's EXPORT/MERGE_IN verbs,
+Serialized sketches travel between processes (checkpoints) and
+between nodes (the serve protocol's EXPORT/MERGE_IN verbs,
 compact wire frames), so decoding is adversarial by default. Every
 ``from_bytes`` in the tree follows one policy, implemented here:
 

@@ -29,8 +29,8 @@ position arrays and 1 byte/item for geometric levels; a plane over an
 Partitioning: :meth:`take` builds a sub-plane for a subset of the chunk
 (the engine's per-shard sub-streams), gathering every *already
 materialized* array instead of re-hashing — the gathered copies are
-owned by the sub-plane, so handing sub-planes to worker threads is
-safe while the parent is no longer mutated.
+owned by the sub-plane, so a sub-plane stays valid after the parent
+is freed.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ The substrate in :mod:`repro.obs.metrics` is generic; this module owns
 the *metric catalog* for the library's hot layers (names, types and
 labels are documented in ``docs/observability.md``):
 
-- :class:`PipelineMetrics` — the ingest pipeline's counters, queue
-  depth gauges and latency histograms;
+- :class:`PipelineMetrics` — the ingest pipeline's counters and
+  per-shard apply latency histograms;
 - :class:`RecoveryMetrics` — the crash-recovery manager's save/retry/
   fallback/orphan counters, retained-generation gauge and durations
   (:mod:`repro.engine.recovery`);
@@ -21,9 +21,6 @@ labels are documented in ``docs/observability.md``):
   counters and latency histograms, error counters by code, connection
   and in-flight gauges, byte counters and the tenant-count gauge
   (:mod:`repro.serve.server`);
-- :class:`ParallelMetrics` — per-worker gauges of the multiprocess
-  shard backend (:class:`~repro.parallel.ProcessShardPool`): request
-  ring backlog, batches/records applied and shared-memory footprint;
 - :class:`WireMetrics` — compact sketch frame codec counters
   (:mod:`repro.wire`): frames encoded/decoded by codec, raw vs wire
   bytes (the compression ratio is their quotient) and codec latency;
@@ -44,7 +41,6 @@ from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "AggMetrics",
-    "ParallelMetrics",
     "PipelineMetrics",
     "PoolObserver",
     "RecoveryMetrics",
@@ -62,8 +58,8 @@ SERVE_VERBS: tuple[str, ...] = (
     "record", "estimate", "stats", "checkpoint", "export", "merge_in",
 )
 
-#: Bucket bounds for queue/apply latencies (seconds): microseconds for a
-#: sub-plane apply up to whole seconds of backpressure stall.
+#: Bucket bounds for request/apply latencies (seconds): microseconds for
+#: a sub-plane apply up to whole seconds for a slow verb.
 LATENCY_BUCKETS: tuple[float, ...] = (
     1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
     1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1.0, 2.5,
@@ -82,20 +78,15 @@ class PipelineMetrics:
     def __init__(self, registry: MetricsRegistry, num_shards: int) -> None:
         self.submitted = registry.counter(
             "repro_ingest_records_submitted_total",
-            "Records successfully enqueued by IngestPipeline.submit",
+            "Records accepted by IngestPipeline.submit",
         )
         self.dropped = registry.counter(
             "repro_ingest_records_dropped_total",
-            "Records dropped because a shard worker had already failed",
+            "Records dropped because a shard apply failed",
         )
         self.batches_dropped = registry.counter(
             "repro_ingest_batches_dropped_total",
-            "Sub-batches dropped because a shard worker had already failed",
-        )
-        depth = registry.gauge(
-            "repro_ingest_queue_depth",
-            "Sub-batches currently queued per shard",
-            labels=("shard",),
+            "Sub-planes dropped because a shard apply failed",
         )
         apply_latency = registry.histogram(
             "repro_ingest_batch_apply_seconds",
@@ -103,14 +94,10 @@ class PipelineMetrics:
             labels=("shard",),
             buckets=LATENCY_BUCKETS,
         )
-        shards = [str(index) for index in range(num_shards)]
-        self.queue_depth = [depth.labels(shard=s) for s in shards]
-        self.apply_latency = [apply_latency.labels(shard=s) for s in shards]
-        self.backpressure = registry.histogram(
-            "repro_ingest_backpressure_wait_seconds",
-            "Time the submit path blocked on a full shard queue",
-            buckets=LATENCY_BUCKETS,
-        )
+        self.apply_latency = [
+            apply_latency.labels(shard=str(index))
+            for index in range(num_shards)
+        ]
 
 
 class RecoveryMetrics:
@@ -390,56 +377,3 @@ class PoolObserver:
         for shard, sink in self._smb_sinks:
             sink.update(shard)
 
-
-class ParallelMetrics:
-    """Per-worker gauges of the multiprocess shard backend.
-
-    Resolves one child per worker index at construction (workers never
-    change over a backend's lifetime), so :meth:`update` does plain
-    ``gauge.set`` attribute work. Driven from safe points — after a
-    drain or a checkpoint sync — by feeding it the backend's
-    ``worker_metrics()`` snapshot; nothing here runs per batch.
-    """
-
-    def __init__(self, registry: MetricsRegistry, num_workers: int) -> None:
-        backlog = registry.gauge(
-            "repro_parallel_ring_backlog_bytes",
-            "Unread request bytes queued in each worker's ring",
-            labels=("worker",),
-        )
-        batches = registry.gauge(
-            "repro_parallel_batches_applied",
-            "Batches each worker has applied to its shards",
-            labels=("worker",),
-        )
-        records = registry.gauge(
-            "repro_parallel_records_applied",
-            "Records each worker has applied to its shards",
-            labels=("worker",),
-        )
-        shm = registry.gauge(
-            "repro_parallel_shm_bytes",
-            "Shared-memory bytes owned per worker (ring + arena)",
-            labels=("worker",),
-        )
-        alive = registry.gauge(
-            "repro_parallel_worker_alive",
-            "1 while the worker process is running",
-            labels=("worker",),
-        )
-        workers = [str(index) for index in range(num_workers)]
-        self._backlog = [backlog.labels(worker=w) for w in workers]
-        self._batches = [batches.labels(worker=w) for w in workers]
-        self._records = [records.labels(worker=w) for w in workers]
-        self._shm = [shm.labels(worker=w) for w in workers]
-        self._alive = [alive.labels(worker=w) for w in workers]
-
-    def update(self, backend: object) -> None:
-        """Refresh every per-worker gauge from the backend's snapshot."""
-        for row in backend.worker_metrics():  # type: ignore[attr-defined]
-            index = int(row["worker"])
-            self._backlog[index].set(float(row["ring_backlog_bytes"]))
-            self._batches[index].set(float(row["batches_applied"]))
-            self._records[index].set(float(row["records_applied"]))
-            self._shm[index].set(float(row["shm_bytes"]))
-            self._alive[index].set(1.0 if row["alive"] else 0.0)

@@ -221,7 +221,7 @@ class MergeIn:
 
 @dataclass(frozen=True)
 class RecordOk:
-    """Acknowledges a RECORD: every key of the batch was enqueued."""
+    """Acknowledges a RECORD: every key of the batch was applied."""
 
     accepted: int
 

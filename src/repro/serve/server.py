@@ -20,11 +20,12 @@ clients pipeline freely:
   until the backlog empties, at which point the connection returns to
   inline mode.
 
-**Backpressure** is layered: the per-connection backlog pauses the
-transport (``pause_reading``) above a high-water mark and resumes below
-a low-water mark, and the per-tenant pipelines' bounded shard queues
-block the executor thread running ``submit`` — a flooding producer
-stalls in its own lane; it cannot exhaust server memory.
+**Backpressure.** The per-connection backlog pauses the transport
+(``pause_reading``) above a high-water mark and resumes below a
+low-water mark. A RECORD is applied to its tenant's shards in the
+executor thread running ``submit`` before it is acknowledged, so a
+flooding producer stalls in its own lane; it cannot exhaust server
+memory.
 
 **Ingest vs checkpoint.** RECORDs hold a shared (reader) side of an
 async gate; CHECKPOINT — and the final checkpoint of :meth:`stop` —
@@ -34,12 +35,12 @@ saves the whole registry as one atomic
 restarted with ``resume=True`` restores the newest valid generation
 and continues bit-exact from that safe point.
 
-**Estimates are lock-light.** ESTIMATE reads the tenant pool's O(1)
-query directly — no drain, no locks, no allocation for unknown tenants
-— so its answer reflects all *applied* records and may lag records
-still queued in the pipeline; issue CHECKPOINT (or stop recording)
-first when an exact cut-off matters. This is the paper's operating
-point: the estimate is available at any instant at O(1) cost.
+**Estimates are lock-free.** ESTIMATE reads the tenant pool's O(1)
+query directly — no drain, no locks, no allocation for unknown tenants.
+Every acknowledged RECORD has been applied, so the answer reflects all
+of them (plus any RECORD another connection has in flight). This is
+the paper's operating point: the estimate is available at any instant
+at O(1) cost.
 """
 
 from __future__ import annotations
@@ -265,18 +266,10 @@ class CardinalityServer:
     resume:
         Restore the newest valid generation from the manager's
         directory at :meth:`start` (fresh start when none restores).
-    chunk_size / queue_depth:
+    chunk_size:
         Per-tenant :class:`~repro.engine.pipeline.IngestPipeline`
-        tuning. Each active tenant costs ``config.shards`` worker
-        threads — bound ``config.max_tenants`` accordingly.
-    workers:
-        When positive, each tenant's pipeline ingests through that many
-        shard worker *processes* with shared-memory estimator planes
-        instead of in-process threads (see docs/parallel.md). ESTIMATE
-        stays an inline O(1) read: it snapshots the per-worker estimate
-        table in shared memory rather than querying the (stale between
-        checkpoints) template pool. Each active tenant then costs
-        ``workers`` processes — bound ``config.max_tenants`` accordingly.
+        chunk size. Tenants cost no threads: every RECORD is applied in
+        the default executor's threads.
     """
 
     def __init__(
@@ -285,16 +278,12 @@ class CardinalityServer:
         checkpoint_manager: "CheckpointManager | None" = None,
         resume: bool = False,
         chunk_size: int = DEFAULT_CHUNK,
-        queue_depth: int = 8,
         max_frame: int = protocol.DEFAULT_MAX_FRAME,
-        workers: int = 0,
     ) -> None:
         self.config = config if config is not None else TenantConfig()
         self.checkpoint_manager = checkpoint_manager
         self.resume = bool(resume)
         self.chunk_size = int(chunk_size)
-        self.queue_depth = int(queue_depth)
-        self.workers = int(workers)
         self.max_frame = int(max_frame)
         self.registry = TenantRegistry(self.config)
         #: Number of the newest generation saved or restored (0 = none).
@@ -450,8 +439,8 @@ class CardinalityServer:
                 response = encode_response(StatsOk(self.stats_document()))
                 verb = "stats"
         except Exception as error:
-            # The lock-light fast path reads estimator state that
-            # pipeline workers mutate concurrently; an exception here
+            # The lock-free fast path reads estimator state that
+            # executor threads mutate concurrently; an exception here
             # (however unlikely — SMB.query snapshots its counters)
             # must become an error *frame*, not escape data_received
             # and tear the connection down.
@@ -506,7 +495,7 @@ class CardinalityServer:
         # Shielded: a client disconnect cancels its backlog worker, but
         # the submit keeps running in the executor regardless — the gate
         # must stay held until it finishes, or a concurrent CHECKPOINT
-        # could capture a half-enqueued chunk.
+        # could capture a half-applied RECORD.
         return await asyncio.shield(self._record_gated(request))
 
     async def _record_gated(self, request: Record) -> bytes:
@@ -522,9 +511,7 @@ class CardinalityServer:
                 )
             except RuntimeError as error:
                 return self._error(protocol.E_INTERNAL, str(error))
-            # Acknowledge what the pipeline actually enqueued, not what
-            # the client sent — they differ when sub-batches are dropped
-            # (worker failure, fault injection).
+            # Every key is applied by now: a failed apply raised above.
             return encode_response(RecordOk(int(accepted)))
         finally:
             await self._gate.release_read()
@@ -563,11 +550,6 @@ class CardinalityServer:
         # drain really is a safe point across every tenant at once.
         for pipeline in self._pipelines.values():
             pipeline.drain()
-        for pipeline in self._pipelines.values():
-            # Process-backed pipelines: pull worker shard state back
-            # into the registry's pools so the generation captures it
-            # (no-op on the threaded backend).
-            pipeline.sync_pool()
         assert self.checkpoint_manager is not None
         generation = self.checkpoint_manager.save(
             cast(CardinalityEstimator, self.registry),
@@ -613,7 +595,6 @@ class CardinalityServer:
         pipeline = self._pipelines.get(tenant)
         if pipeline is not None:
             pipeline.drain()
-            pipeline.sync_pool()
         pool = self.registry.pools.get(tenant)
         if pool is None:
             # Unknown tenant: export a deterministic empty pool without
@@ -656,22 +637,10 @@ class CardinalityServer:
     def _merge_in_sync(self, tenant: str, frame: bytes) -> float:
         sketch = decode_sketch(frame)  # ValueError -> E_BAD_PAYLOAD
         pipeline = self._pipelines.get(tenant)
-        if pipeline is not None and pipeline.workers:
-            # Process workers hold shard state in their own shared-memory
-            # arenas; sync_pool only pulls worker state *into* the
-            # registry pool — there is no push-back, so a merge here
-            # would be silently overwritten by the next sync. Refuse
-            # rather than lose data; merge before ingest starts, or
-            # into a thread-backed server.
-            raise RuntimeError(
-                f"tenant {tenant!r} has an active process-backed "
-                "pipeline; MERGE_IN cannot reach worker shard state "
-                "(use workers=0, or merge before ingest starts)"
-            )
         if pipeline is not None:
-            # Thread backend mutates the registry pool in place; drain
-            # to a safe point (the gate already stopped producers) so
-            # the merge composes with fully-applied records.
+            # The pipeline mutates the registry pool in place; drain to
+            # a safe point (the gate already stopped producers) so the
+            # merge composes with fully-applied records.
             pipeline.drain()
         pool = self.registry.pool(tenant)  # may raise TenantLimitError
         pool.merge(sketch)  # typed incompatibility errors propagate
@@ -684,12 +653,7 @@ class CardinalityServer:
         pipeline = self._pipelines.get(tenant)
         if pipeline is None:
             pool = self.registry.pool(tenant)  # may raise TenantLimitError
-            pipeline = IngestPipeline(
-                pool,
-                chunk_size=self.chunk_size,
-                queue_depth=self.queue_depth,
-                workers=self.workers,
-            )
+            pipeline = IngestPipeline(pool, chunk_size=self.chunk_size)
             self._pipelines[tenant] = pipeline
             if self.metrics is not None:
                 self.metrics.tenants.set(len(self.registry))
@@ -698,12 +662,10 @@ class CardinalityServer:
     def _estimate(self, tenant: str) -> float:
         """The tenant's live estimate (the ESTIMATE fast path).
 
-        A tenant with an active pipeline answers through it —
-        with process workers that is an O(1) seqlock read of the
-        shared-memory estimate table, never a stale template-pool
-        query. A tenant without a pipeline (restored from checkpoint,
-        no RECORD yet) answers from the registry; an unknown tenant is
-        0.0 and allocates nothing.
+        A tenant with an active pipeline answers through its lock-free
+        ``query_live``. A tenant without a pipeline (restored from
+        checkpoint, no RECORD yet) answers from the registry; an
+        unknown tenant is 0.0 and allocates nothing.
         """
         pipeline = self._pipelines.get(tenant)
         if pipeline is not None:
@@ -721,9 +683,9 @@ class CardinalityServer:
     def stats_document(self) -> dict:
         """The STATS response body (also useful for in-process tests).
 
-        ``records`` satisfies ``submitted == applied + dropped`` at any
-        drained safe point (after CHECKPOINT, or once ingest is idle);
-        mid-flight, ``applied`` lags ``submitted`` by what is queued.
+        ``records`` satisfies ``submitted == applied + dropped`` whenever
+        no RECORD is in flight; mid-flight, ``applied`` lags
+        ``submitted`` by the chunks being applied.
         """
         submitted, applied, dropped = self._record_totals()
         document: dict = {

@@ -3,7 +3,7 @@
 :mod:`repro.testing.faults` is the deterministic fault-injection
 harness behind the crash-recovery suite: production code declares named
 *failpoints* at its crash windows (checkpoint fsync/replace, pipeline
-queue-put/worker-apply, manifest publication) and tests arm them with
+worker-apply, manifest publication) and tests arm them with
 errors or hard process crashes. Disarmed failpoints follow the same
 zero-cost policy as :mod:`repro.obs` — the default plan is a shared
 no-op whose ``fire`` is a single empty method call.

@@ -71,11 +71,8 @@ FAILPOINTS: frozenset[str] = frozenset(
         # checkpoint.save: os.replace done, directory fsync pending — the
         # new file is in place but its rename may not be durable yet.
         "checkpoint.post-replace",
-        # IngestPipeline.submit: about to enqueue one sub-plane — a crash
-        # here loses the tail of the current chunk.
-        "pipeline.queue-put",
-        # IngestPipeline worker: about to apply one sub-plane to its
-        # shard — a crash here leaves that shard partially updated.
+        # IngestPipeline.submit: about to apply one sub-plane to its
+        # shard — a crash here loses the rest of the current chunk.
         "pipeline.worker-apply",
         # CheckpointManager.save: generation file durable, manifest not
         # yet republished — recovery must still find the new generation.
@@ -139,8 +136,8 @@ class FaultPlan:
 
     Install with :func:`set_plan` or, preferably, the
     :func:`fault_plan` context manager (which restores the previous
-    plan on exit). Thread-safe: failpoints fire from pipeline worker
-    threads as well as the producer.
+    plan on exit). Thread-safe: failpoints fire from every thread
+    that submits into a pipeline.
     """
 
     armed = True

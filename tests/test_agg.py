@@ -228,41 +228,9 @@ def test_merge_in_errors_keep_connection_alive():
     assert results["accepted"] == 256
 
 
-def test_merge_in_refused_for_process_backed_tenant():
-    """Process workers own shard state in shared memory; MERGE_IN must
-    refuse (typed error, connection survives) rather than merge into a
-    registry pool the next sync would overwrite."""
-
-    async def scenario():
-        server = CardinalityServer(make_config(shards=1), workers=1)
-        __, port = await server.start("127.0.0.1", 0)
-        try:
-            async with await ServeClient.connect("127.0.0.1", port) as client:
-                await client.record("flows", np.arange(512, dtype=np.uint64))
-                donor = TenantRegistry(make_config(shards=1))
-                donor.record_many(
-                    "flows", np.arange(512, 1024, dtype=np.uint64)
-                )
-                frame = encode_sketch(donor.pools["flows"])
-                try:
-                    await client.merge_in("flows", frame)
-                except ServeError as error:
-                    code = error.code
-                else:  # pragma: no cover - the refusal is the contract
-                    code = None
-                alive = await client.estimate("flows")
-            return code, alive
-        finally:
-            await server.stop()
-
-    code, alive = asyncio.run(scenario())
-    assert code == protocol.E_INTERNAL
-    assert alive >= 0.0
-
-
 def test_merge_in_thread_backed_tenant_composes_with_ingest():
-    """On the threaded backend a quiesced in-place merge is safe: the
-    folded state must keep accepting RECORDs afterwards."""
+    """A quiesced in-place merge is safe: the folded state must keep
+    accepting RECORDs afterwards."""
 
     async def scenario():
         server = CardinalityServer(make_config())
@@ -282,8 +250,6 @@ def test_merge_in_thread_backed_tenant_composes_with_ingest():
                 await client.record(
                     "flows", np.arange(8_000, 12_000, dtype=np.uint64)
                 )
-                # EXPORT drains the pipeline, so the frame reflects
-                # every acked RECORD (an inline ESTIMATE may not yet).
                 frame = await client.export("flows")
             return decode_sketch(frame).query()
         finally:

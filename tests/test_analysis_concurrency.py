@@ -1,7 +1,7 @@
 """Tests for the concurrency tier of repro.analysis.
 
-Fixture coverage for the four concurrency checkers (guards, lockorder,
-asyncio, seqlock) plus the allow-audit meta rule: every rule gets a bad
+Fixture coverage for the three concurrency checkers (guards, lockorder,
+asyncio) plus the allow-audit meta rule: every rule gets a bad
 snippet asserting the exact rule id at the exact line, and a good
 snippet that must stay clean. On top of the per-rule fixtures the suite
 covers the framework edges (guarded-by naming a nonexistent lock,
@@ -616,116 +616,6 @@ class TestAsyncioHygiene:
 
 
 # ----------------------------------------------------------------------
-# seqlock: repro.parallel publication/snapshot protocol
-# ----------------------------------------------------------------------
-class TestSeqlock:
-    def test_rules_scoped_to_parallel_tree(self, tmp_path):
-        source = """\
-            def refresh(header, values):
-                header.set_counters(values)
-            """
-        inside = run_on(
-            tmp_path, source, filename="repro/parallel/snippet.py"
-        )
-        outside = run_on(tmp_path, source, filename="elsewhere.py")
-        assert findings(inside, "seqlock.unpaired-publish") == [
-            (2, "seqlock.unpaired-publish")
-        ]
-        assert outside.diagnostics == []
-
-    def test_publish_without_increment_flagged(self, tmp_path):
-        result = run_on(
-            tmp_path,
-            """\
-            class Writer:
-                def refresh(self):
-                    self._sequence += 1
-                    self.header.set_counters(self._slots)
-                    self.mutate()
-                    self.header.set_counters(self._slots)
-            """,
-            filename="repro/parallel/snippet.py",
-        )
-        # The first publication is bumped; the second republishes stale.
-        assert findings(result, "seqlock.publish-without-increment") == [
-            (6, "seqlock.publish-without-increment")
-        ]
-        assert findings(result, "seqlock.unpaired-publish") == []
-
-    def test_compliant_writer_clean(self, tmp_path):
-        result = run_on(
-            tmp_path,
-            """\
-            class Writer:
-                def refresh(self):
-                    self._sequence += 1
-                    self.header.set_counters(self._slots)
-                    self.mutate()
-                    self._sequence += 1
-                    self.header.set_counters(self._slots)
-            """,
-            filename="repro/parallel/snippet.py",
-        )
-        assert result.diagnostics == []
-
-    def test_reader_without_recheck_flagged(self, tmp_path):
-        result = run_on(
-            tmp_path,
-            """\
-            class Reader:
-                def query(self):
-                    before = self.header.counters()
-                    values = self.plane.estimates()
-                    return values
-            """,
-            filename="repro/parallel/snippet.py",
-        )
-        assert findings(result, "seqlock.reader-recheck") == [
-            (4, "seqlock.reader-recheck")
-        ]
-
-    def test_check_copy_recheck_reader_clean(self, tmp_path):
-        result = run_on(
-            tmp_path,
-            """\
-            class Reader:
-                def query(self):
-                    before = self.header.counters()
-                    values = self.plane.estimates()
-                    after = self.header.counters()
-                    if after != before:
-                        return None
-                    return values
-            """,
-            filename="repro/parallel/snippet.py",
-        )
-        assert result.diagnostics == []
-
-    def test_raw_cursor_io_outside_blessed_accessors(self, tmp_path):
-        result = run_on(
-            tmp_path,
-            """\
-            import struct
-
-            _CURSOR = struct.Struct("<Q")
-
-            class Ring:
-                def _set_head(self, value):
-                    _CURSOR.pack_into(self._buffer, 0, value)
-
-                def push(self, value):
-                    _CURSOR.pack_into(self._buffer, 0, value)
-                    (head,) = _CURSOR.unpack_from(self._buffer, 0)
-            """,
-            filename="repro/parallel/snippet.py",
-        )
-        assert findings(result, "seqlock.raw-cursor") == [
-            (10, "seqlock.raw-cursor"),
-            (11, "seqlock.raw-cursor"),
-        ]
-
-
-# ----------------------------------------------------------------------
 # analysis: allow-audit meta rule
 # ----------------------------------------------------------------------
 class TestAllowAudit:
@@ -749,7 +639,7 @@ class TestAllowAudit:
             """\
             def f():
                 # analysis: allow(guards.unguarded-access) -- fine
-                # analysis: allow(seqlock, purity.loop) -- also fine
+                # analysis: allow(lockorder, purity.loop) -- also fine
                 return 1
             """,
         )

@@ -112,12 +112,17 @@ class TestCrashResumeMatrix:
         assert pool.to_bytes() == oracle_pool().to_bytes()
         assert pool.query() == oracle_pool().query()
 
-    def test_queue_put_crash_resumes_bit_exact(self, tmp_path):
+    def test_crash_after_checkpoint_resumes_bit_exact(self, tmp_path):
+        # 4 shards -> 4 applies per chunk and 16 per CHECKPOINT_EVERY;
+        # hit 33 is the first apply after the second periodic
+        # generation, so the resume replays from exactly that offset.
         mgr = manager(tmp_path)
-        run_until_crash(
-            mgr, lambda plan: plan.arm("pipeline.queue-put", after=45)
+        pipeline = run_until_crash(
+            mgr, lambda plan: plan.arm("pipeline.worker-apply", after=32)
         )
-        pool, __ = resume(mgr)
+        assert pipeline.records_dropped == CHUNK
+        pool, generation = resume(mgr)
+        assert generation.meta["records_submitted"] == 2 * CHECKPOINT_EVERY
         assert pool.to_bytes() == oracle_pool().to_bytes()
 
     def test_pre_fsync_crash_falls_back_and_resumes_bit_exact(
@@ -234,20 +239,28 @@ class TestSubprocessCrash:
 class TestRouteOpsBilling:
     """Satellite regression: routing-ops accounting vs records_submitted."""
 
-    def test_mid_chunk_put_failure_keeps_accounting_consistent(self):
+    def test_mid_chunk_apply_failure_balances_accounting(self):
         pool = build_pool()
         pipeline = IngestPipeline(pool, chunk_size=CHUNK)
         with fault_plan() as plan:
-            # 4 shards -> 4 puts per chunk; hit 5 is mid-second-chunk.
-            plan.arm("pipeline.queue-put", after=5)
+            # 4 shards -> 4 applies per chunk; hit 6 is the second
+            # sub-plane of the second chunk.
+            plan.arm("pipeline.worker-apply", after=5)
             with pytest.raises(InjectedFault):
                 pipeline.submit(STREAM[: 4 * CHUNK])
-        # Exactly one chunk was fully enqueued; the second died mid-put.
-        assert pipeline.records_submitted == CHUNK
-        # Before the fix the failed chunk was pre-billed:
-        # _route_hash_ops would read 2 * CHUNK here.
+        # The failing chunk counts as submitted; its first sub-plane was
+        # applied and the failing one plus the rest were dropped.
+        assert pipeline.records_submitted == 2 * CHUNK
+        first_part = pool.partitioner.split(STREAM[CHUNK: 2 * CHUNK])[0]
+        assert pipeline.records_applied == CHUNK + first_part.size
+        assert pipeline.records_dropped == CHUNK - first_part.size
         assert pool._route_hash_ops == pipeline.records_submitted
-        pipeline.close()
+        # The failure latches: later submits and close raise too.
+        with pytest.raises(RuntimeError, match="ingest worker failed"):
+            pipeline.submit(STREAM[4 * CHUNK: 5 * CHUNK])
+        with pytest.raises(RuntimeError, match="ingest worker failed"):
+            pipeline.close()
+        assert pipeline.records_submitted == 2 * CHUNK
 
     def test_partitioner_failure_keeps_accounting_consistent(self):
         pool = build_pool()
@@ -286,9 +299,9 @@ class TestCloseLifecycleRace:
 
     def _pipeline(self):
         pool = ShardPool.of("SMB", 8_000, 4, seed=1)
-        return IngestPipeline(pool, chunk_size=500, queue_depth=2)
+        return IngestPipeline(pool, chunk_size=500)
 
-    def test_concurrent_closes_elect_one_finisher(self):
+    def test_concurrent_closes_are_idempotent(self):
         for __ in range(15):
             pipeline = self._pipeline()
             pipeline.submit(STREAM[:4_000])
@@ -311,13 +324,9 @@ class TestCloseLifecycleRace:
             for thread in threads:
                 thread.join()
             assert not errors
-            # Exactly one set of stop sentinels went out and was fully
-            # consumed: a doubled close used to leave a second sentinel
-            # stuck in every queue.
-            assert all(inbox.empty() for inbox in pipeline._queues)
-            assert all(
-                not worker.is_alive() for worker in pipeline._workers
-            )
+            assert pipeline.records_applied == 4_000
+            with pytest.raises(RuntimeError, match="closed pipeline"):
+                pipeline.submit(STREAM[:10])
 
     def test_submit_racing_close_raises_or_completes(self):
         for __ in range(10):
@@ -341,13 +350,12 @@ class TestCloseLifecycleRace:
             pipeline.close()
             thread.join()
             assert outcomes in (["completed"], ["raised"])
-            # Whatever the interleaving, nothing was enqueued behind
-            # the sentinels and every enqueued record was applied.
-            assert all(inbox.empty() for inbox in pipeline._queues)
-            assert all(
-                not worker.is_alive() for worker in pipeline._workers
-            )
+            # Whatever the interleaving, every accepted record was
+            # applied before close() returned.
             assert pipeline.records_dropped == 0
+            assert (
+                pipeline.records_applied == pipeline.records_submitted
+            )
 
     def test_submit_after_close_raises_immediately(self):
         pipeline = self._pipeline()
@@ -360,4 +368,4 @@ class TestCloseLifecycleRace:
         pipeline.submit(STREAM[:1_000])
         pipeline.close()
         pipeline.close()
-        assert all(inbox.empty() for inbox in pipeline._queues)
+        assert pipeline.records_applied == 1_000

@@ -170,7 +170,7 @@ class TestPipeline:
         sync = smb_pool(num_shards=4, seed=3)
         sync.record_many(items)
         piped = smb_pool(num_shards=4, seed=3)
-        with IngestPipeline(piped, chunk_size=1024, queue_depth=2) as pipe:
+        with IngestPipeline(piped, chunk_size=1024) as pipe:
             for start in range(0, items.size, 3000):
                 pipe.submit(items[start:start + 3000])
             assert pipe.estimate() == sync.query()
@@ -208,7 +208,7 @@ class TestPipeline:
         with pytest.raises(ValueError):
             IngestPipeline(pool, chunk_size=0)
         with pytest.raises(ValueError):
-            IngestPipeline(pool, queue_depth=0)
+            IngestPipeline(pool, checkpoint_every=-1)
 
     def test_empty_submit_is_noop(self):
         pool = smb_pool(num_shards=2)
@@ -418,7 +418,7 @@ class _FailingSMB(_CountingSMB):
 
 
 class TestPipelineFailure:
-    """Counter integrity and fast-fail when a shard worker dies."""
+    """Counter integrity and fast-fail when a shard apply fails."""
 
     def _failing_pool(self):
         return ShardPool(
@@ -429,58 +429,22 @@ class TestPipelineFailure:
         )
 
     def test_failure_counters_balance_exactly(self):
-        import threading
-
         pool = self._failing_pool()
-        pipe = IngestPipeline(pool, chunk_size=256, queue_depth=1)
-        failed = threading.Event()
-
-        class GatedPartitioner:
-            """Delegates to the real partitioner, but after the first
-            chunk waits until the failing worker has actually died, so
-            the producer's per-chunk check fires deterministically."""
-
-            def __init__(self, inner):
-                self.inner = inner
-                self.chunks = 0
-
-            def __getattr__(self, name):
-                return getattr(self.inner, name)
-
-            def split_plane(self, plane):
-                if self.chunks:
-                    failed.wait(10)
-                self.chunks += 1
-                return self.inner.split_plane(plane)
-
-        pool.partitioner = GatedPartitioner(pool.partitioner)
-        original_record = _FailingSMB._record_plane
-
-        def record_and_signal(self, plane):
-            try:
-                original_record(self, plane)
-            except RuntimeError:
-                failed.set()
-                raise
-
-        _FailingSMB._record_plane = record_and_signal
+        pipe = IngestPipeline(pool, chunk_size=256)
         items = distinct_items(4000, seed=30)
-        try:
-            with pytest.raises(RuntimeError, match="ingest worker failed"):
-                pipe.submit(items)
-                pipe.drain()
-        finally:
-            _FailingSMB._record_plane = original_record
+        with pytest.raises(RuntimeError, match="injected shard failure"):
+            pipe.submit(items)
         with pytest.raises(RuntimeError, match="ingest worker failed"):
             pipe.close()
-        # Fast-fail: the producer stopped at a chunk boundary well
-        # before the stream's end, and counted only enqueued chunks.
-        assert 0 < pipe.records_submitted < items.size
-        # Every enqueued record was either fully applied or counted as
-        # dropped -- the identity the records_dropped fix guarantees.
+        # Fast-fail: shard 0 fails on the second chunk, so the submit
+        # stopped there and counted only the two chunks it split.
+        assert pipe.records_submitted == 512
+        # Every submitted record was either fully applied or counted as
+        # dropped -- the failing chunk drops all of its sub-planes,
+        # since shard 0's comes first.
         applied = sum(shard.applied for shard in pool.shards)
+        assert applied == pipe.records_applied == 256
         assert pipe.records_submitted == applied + pipe.records_dropped
-        assert pipe.records_dropped > 0
 
     def test_submit_after_failure_enqueues_nothing(self):
         pool = smb_pool(num_shards=2)

@@ -79,7 +79,7 @@ class EngineMachine(RuleBasedStateMachine):
     @rule(values=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=200))
     def ingest_pipelined(self, values):
         """A batch through the concurrent producer/consumer pipeline."""
-        with IngestPipeline(self.pool, chunk_size=64, queue_depth=2) as pipe:
+        with IngestPipeline(self.pool, chunk_size=64) as pipe:
             pipe.submit(np.asarray(values, dtype=np.uint64))
         self._mirror_record(values)
 

@@ -345,7 +345,7 @@ class TestInstrumentation:
         pool = ShardPool.of(
             "SMB", 40_000, 4, design_cardinality=1_000_000, seed=0
         )
-        with IngestPipeline(pool, chunk_size=4096, queue_depth=2) as pipe:
+        with IngestPipeline(pool, chunk_size=4096) as pipe:
             pipe.submit(items)
             pipe.drain()
             submitted, dropped = pipe.records_submitted, pipe.records_dropped
@@ -364,12 +364,9 @@ class TestInstrumentation:
         total_applied_batches = sum(
             sample["count"] for sample in applies["samples"]
         )
-        assert total_applied_batches >= items.size // 4096
-        depth_values = [
-            sample["value"]
-            for sample in collected["repro_ingest_queue_depth"]["samples"]
-        ]
-        assert len(depth_values) == 4 and all(v == 0 for v in depth_values)
+        # One apply per shard per chunk: 10 chunks of 4096 into 4 shards.
+        assert len(applies["samples"]) == 4
+        assert total_applied_batches == 4 * -(-items.size // 4096)
 
         # PoolObserver refreshed at drain: estimates and skew are live.
         estimates = [
@@ -427,6 +424,48 @@ class TestInstrumentation:
         pool.record_many(distinct_items(2_000, seed=2))
         observer.update()
         assert all(shard._obs_sink is None for shard in pool.shards)
+
+
+# ----------------------------------------------------------------------
+# The documented catalog matches the registered families
+# ----------------------------------------------------------------------
+class TestCatalog:
+    def test_doc_catalog_matches_registered_families(self, registry, tmp_path):
+        import re
+
+        from repro.engine import checkpoint
+        from repro.obs import instrument
+
+        pool = ShardPool.of("SMB", 8_000, 2, seed=0)
+        bundles = {
+            "AggMetrics": lambda: instrument.AggMetrics(registry),
+            "PipelineMetrics": lambda: instrument.PipelineMetrics(registry, 2),
+            "PoolObserver": lambda: instrument.PoolObserver(registry, pool),
+            "RecoveryMetrics": lambda: instrument.RecoveryMetrics(registry),
+            "SMBObserver": lambda: instrument.SMBObserver(registry),
+            "ServerMetrics": lambda: instrument.ServerMetrics(registry),
+            "WireMetrics": lambda: instrument.WireMetrics(registry),
+        }
+        exported = {
+            name for name in instrument.__all__
+            if isinstance(getattr(instrument, name), type)
+        }
+        assert set(bundles) == exported  # a new bundle must be listed
+        for build in bundles.values():
+            build()
+        checkpoint.save(pool, tmp_path / "pool.ckpt")
+        checkpoint.load(tmp_path / "pool.ckpt")
+        registered = {
+            family.name for family in registry.families()
+            if family.name.startswith("repro_")
+        }
+
+        doc = (REPO_ROOT / "docs" / "observability.md").read_text()
+        catalog = doc.split("## Metric catalog", 1)[1].split("\n## ", 1)[0]
+        documented = set(
+            re.findall(r"^\| `(repro_[a-z0-9_]+)` \|", catalog, re.MULTILINE)
+        )
+        assert registered == documented
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ The serving layer calls :meth:`IngestPipeline.submit` through
 regime where the original single-producer implementation raced:
 unsynchronized counter ``+=`` could lose updates, and a periodic or
 external :meth:`checkpoint_now` could drain while another producer was
-half way through enqueueing a chunk, capturing a mid-chunk state whose
+half way through a chunk, capturing a mid-chunk state whose
 metadata disagreed with the pool bytes.
 
 These tests hammer submit against drain/checkpoint/close from an
@@ -26,6 +26,8 @@ the pipeline, and assert the post-fix invariants:
 """
 
 import asyncio
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from repro.engine.checkpoint import load
 from repro.engine.pipeline import IngestPipeline
 from repro.engine.recovery import CheckpointManager, RetryPolicy
 from repro.engine.shards import ShardPool
+from repro.estimators import Bitmap
 
 PRODUCERS = 8
 BATCHES_PER_PRODUCER = 12
@@ -69,7 +72,7 @@ def test_executor_submits_with_interleaved_drains():
 
     async def scenario():
         loop = asyncio.get_running_loop()
-        with IngestPipeline(pool, chunk_size=CHUNK, queue_depth=2) as pipe:
+        with IngestPipeline(pool, chunk_size=CHUNK) as pipe:
 
             def producer(index: int) -> None:
                 for batch_index in range(BATCHES_PER_PRODUCER):
@@ -108,7 +111,6 @@ def test_quiesced_checkpoints_never_capture_mid_chunk(tmp_path):
         with IngestPipeline(
             pool,
             chunk_size=CHUNK,
-            queue_depth=2,
             checkpoint_manager=manager(tmp_path),
             # Several checkpoints fire from *inside* concurrent submits.
             checkpoint_every=4 * BATCH,
@@ -175,7 +177,7 @@ def test_submit_vs_close_hammer():
     """Racing close() against executor submits stays deterministic."""
     for round_index in range(4):
         pool = build_pool()
-        pipe = IngestPipeline(pool, chunk_size=CHUNK, queue_depth=2)
+        pipe = IngestPipeline(pool, chunk_size=CHUNK)
 
         async def scenario():
             loop = asyncio.get_running_loop()
@@ -201,8 +203,8 @@ def test_submit_vs_close_hammer():
             return sum(outcomes)
 
         accepted = asyncio.run(scenario())
-        # Everything accepted was fully enqueued before the sentinels,
-        # applied by close()'s drain, and counted exactly once.
+        # Everything accepted was applied before close() returned and
+        # counted exactly once.
         assert pipe.records_submitted == accepted
         assert (
             pipe.records_submitted
@@ -218,7 +220,7 @@ def test_routing_accounting_under_concurrency():
 
     async def scenario():
         loop = asyncio.get_running_loop()
-        with IngestPipeline(pool, chunk_size=CHUNK, queue_depth=2) as pipe:
+        with IngestPipeline(pool, chunk_size=CHUNK) as pipe:
 
             def producer(index: int) -> None:
                 for batch_index in range(BATCHES_PER_PRODUCER):
@@ -238,3 +240,51 @@ def test_routing_accounting_under_concurrency():
     # One routing hash per submitted record, despite 8-way contention on
     # the shared counters (they are billed together, under one lock).
     assert pool._route_hash_ops == submitted
+
+
+class _RacyBitmap(Bitmap):
+    """Counts applied keys with a read, a GIL release and a write: two
+    overlapping applies to one shard lose an update."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.applied = 0
+
+    def _record_plane(self, plane):
+        seen = self.applied
+        time.sleep(0)
+        super()._record_plane(plane)
+        self.applied = seen + plane.size
+
+
+def test_contended_submits_equal_synchronous_ingest():
+    """Producers share the shards under the apply lock: no apply
+    overlaps another on one shard, and the pool ends bit-identical to
+    one synchronous ingest of every key (Bitmap state does not depend
+    on arrival order)."""
+
+    def racy_pool() -> ShardPool:
+        return ShardPool(lambda index: _RacyBitmap(1 << 15, seed=3), 4, seed=3)
+
+    pool, oracle = racy_pool(), racy_pool()
+    with IngestPipeline(pool, chunk_size=CHUNK) as pipe:
+        with ThreadPoolExecutor(PRODUCERS) as executor:
+            futures = [
+                executor.submit(
+                    lambda index: [
+                        pipe.submit(batch_for(index, batch_index))
+                        for batch_index in range(BATCHES_PER_PRODUCER)
+                    ],
+                    index,
+                )
+                for index in range(PRODUCERS)
+            ]
+            for future in futures:
+                future.result(timeout=60)
+    for index in range(PRODUCERS):
+        for batch_index in range(BATCHES_PER_PRODUCER):
+            oracle.record_many(batch_for(index, batch_index))
+    total = PRODUCERS * BATCHES_PER_PRODUCER * BATCH
+    assert sum(shard.applied for shard in pool.shards) == total
+    assert pipe.records_submitted == pipe.records_applied == total
+    assert pool.to_bytes() == oracle.to_bytes()

@@ -21,7 +21,9 @@ No pytest-asyncio in the toolchain: each test wraps its coroutine in
 """
 
 import asyncio
+import os
 import struct
+import threading
 import time
 
 import numpy as np
@@ -450,7 +452,7 @@ def test_estimate_failure_is_error_frame_not_disconnect():
 
 
 def test_record_ack_reports_pipeline_accepted_count(monkeypatch):
-    """RECORD acknowledges what the pipeline enqueued, not frame size."""
+    """RECORD acknowledges what the pipeline accepted, not frame size."""
     monkeypatch.setattr(IngestPipeline, "submit", lambda self, items: 7)
 
     async def scenario():
@@ -465,6 +467,59 @@ def test_record_ack_reports_pipeline_accepted_count(monkeypatch):
             await server.stop()
 
     assert asyncio.run(scenario()) == 7
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+def test_estimate_reads_its_own_writes(shards):
+    """An acked RECORD is applied: the next ESTIMATE is exactly the
+    oracle's, for RECORDs of one key up to several chunks."""
+    config = make_config(shards=shards)
+    rng = np.random.default_rng(shards)
+    batches = [
+        (f"t{index % 3}", rng.integers(0, 1 << 40, size=size, dtype=np.uint64))
+        for index, size in enumerate((1, 100, 5_000, 20_000, 3_000, 9_000))
+    ]
+
+    async def scenario():
+        server = CardinalityServer(config)
+        host, port = await start_server(server)
+        try:
+            async with await ServeClient.connect(host, port) as client:
+                served = []
+                for tenant, keys in batches:
+                    assert await client.record(tenant, keys) == keys.size
+                    served.append(await client.estimate(tenant))
+                return served
+        finally:
+            await server.stop()
+
+    served = asyncio.run(scenario())
+    oracle = TenantRegistry(config)
+    for (tenant, keys), value in zip(batches, served):
+        oracle.record_many(tenant, keys)
+        assert value == oracle.estimate(tenant)
+
+
+def test_tenants_cost_no_threads():
+    """64 tenants at K=4 add at most the default executor's threads."""
+    executor_size = min(32, (os.cpu_count() or 1) + 4)
+
+    async def scenario():
+        server = CardinalityServer(make_config(shards=4))
+        host, port = await start_server(server)
+        try:
+            before = threading.active_count()
+            async with await ServeClient.connect(host, port) as client:
+                for index in range(64):
+                    await client.record(
+                        f"tenant-{index}", np.arange(256, dtype=np.uint64)
+                    )
+                assert (await client.stats())["tenants"] == 64
+            return threading.active_count() - before
+        finally:
+            await server.stop()
+
+    assert asyncio.run(scenario()) <= executor_size
 
 
 # ----------------------------------------------------------------------
