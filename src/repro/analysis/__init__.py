@@ -11,7 +11,6 @@ purity           plane paths stay vectorized (no per-item Python)
 determinism      randomness flows from explicit seeds, never globals
 dtype            hash planes keep uint64/declared dtypes, no implicit casts
 contract         estimator subclasses honour the library-wide contract
-serialization    recorded state round-trips through to_bytes/from_bytes
 guards           ``# guarded-by:`` fields stay under their declared lock
 lockorder        the acquires-while-holding graph stays acyclic
 asyncio          event-loop hygiene: no blocking calls, shielded gates,
@@ -48,7 +47,6 @@ from repro.analysis import (  # noqa: F401  (imported for side effects)
     guards,
     lockorder,
     purity,
-    serialization,
 )
 
 __all__ = [

@@ -178,7 +178,7 @@ def analyze_main(argv: list[str] | None = None) -> int:
         prog="repro analyze",
         description=(
             "Run the AST invariant checkers (purity, determinism, dtype, "
-            "contract, serialization, guards, lockorder, asyncio) "
+            "contract, guards, lockorder, asyncio) "
             "over Python sources."
         ),
         epilog="See docs/dev-tooling.md for rule rationales and suppression.",

@@ -4,9 +4,8 @@ Everything downstream of an estimator — the bench harness, the sharded
 engine, the checkpoint layer, the property-test suite — programs against
 the :class:`~repro.estimators.base.CardinalityEstimator` contract. A
 class that drifts from it (a missing method, an undeclared plane
-request, a serializable type absent from the registry) fails at a
-distance: the engine prefetches the wrong hash arrays, or a checkpoint
-written today cannot be restored tomorrow.
+request) fails at a distance: the engine prefetches the wrong hash
+arrays, or a bench table loses a column.
 
 Rules
 -----
@@ -21,18 +20,15 @@ Rules
   advertised by the class's ``plane_requests`` via the matching
   ``*_request`` helpers. An unadvertised read defeats the pool/pipeline
   prefetch: the shards silently re-hash every chunk.
-- ``contract.unregistered`` — a serializable estimator (implements
-  ``to_bytes``/``from_bytes`` below the base class, whose own raising
-  stubs do not count) must appear in the checkpoint registry
-  (``estimator_registry``), or its checkpoints cannot be restored.
 - ``contract.unexported`` — a public estimator defined under
   ``repro/estimators/`` must be exported in the package ``__all__``.
 
 The subclass graph is resolved across all analyzed files by
-:class:`~repro.analysis.core.ProjectModel`; registry- and export-based
-rules are skipped when the analyzed path set does not include the
-registry or package ``__init__`` (e.g. when analyzing a test fixture
-directory).
+:class:`~repro.analysis.core.ProjectModel`; the export rule is skipped
+when the analyzed path set does not include the package ``__init__``
+(e.g. when analyzing a test fixture directory). Serializable estimators
+need no rule: declaring a state registers the class
+(:mod:`repro.estimators.registry`).
 """
 
 from __future__ import annotations
@@ -114,11 +110,6 @@ class ContractChecker(Checker):
             hint="add the matching *_request(...) entry to plane_requests()",
         ),
         Rule(
-            id="contract.unregistered",
-            summary="serializable estimator missing from the checkpoint registry",
-            hint="add the class to repro.engine.shards.estimator_registry",
-        ),
-        Rule(
             id="contract.unexported",
             summary="public estimator not exported from repro.estimators",
             hint="add the class to repro/estimators/__init__.py __all__",
@@ -133,8 +124,6 @@ class ContractChecker(Checker):
             yield from self._check_required(info)
             yield from self._check_name(info)
             yield from self._check_plane_requests(info)
-            if project.registry_names:
-                yield from self._check_registered(info, project)
             if estimator_exports is not None:
                 yield from self._check_exported(info, estimator_exports)
 
@@ -184,28 +173,6 @@ class ContractChecker(Checker):
                 "contract.plane-mismatch",
                 f"{info.name}._record_plane reads plane.{kind}(...) but "
                 f"plane_requests() never advertises {kind}_request",
-            )
-
-    def _check_registered(
-        self, info: ClassInfo, project: ProjectModel
-    ) -> Iterator[Diagnostic]:
-        # The estimator base ships *raising* to_bytes/from_bytes stubs
-        # (the optional-capability pattern); only overrides below the
-        # base make a class actually serializable.
-        implemented: set[str] = set()
-        for ancestor in [info, *self._ancestors(info)]:
-            if ancestor.name == ProjectModel.ESTIMATOR_BASE:
-                continue
-            implemented.update(ancestor.methods)
-        if "to_bytes" not in implemented or "from_bytes" not in implemented:
-            return
-        if info.name not in project.registry_names:
-            yield self.diagnostic(
-                info.module,
-                info.node,
-                "contract.unregistered",
-                f"{info.name} is serializable but absent from the estimator "
-                "registry — its checkpoints cannot be restored",
             )
 
     def _check_exported(

@@ -21,9 +21,8 @@ Architecture
   :meth:`Checker.check_project` (cross-file invariants over the
   :class:`ProjectModel`);
 - :class:`ProjectModel` — the parsed view of every analyzed module:
-  the class graph (with ``CardinalityEstimator`` subclass resolution),
-  registry membership and ``__all__`` exports, shared by the contract
-  and serialization checkers;
+  the class graph (with ``CardinalityEstimator`` subclass resolution)
+  and ``__all__`` exports, shared by the contract checkers;
 - suppression — inline ``# analysis: allow(purity.loop) -- reason``
   comments on (or directly above) the flagged line, plus a checked-in
   JSON baseline for findings that cannot carry an inline comment. The
@@ -221,8 +220,7 @@ class ProjectModel:
     """Cross-file view of all analyzed modules.
 
     Builds the class graph once; checkers that need inheritance
-    resolution (contracts, serialization) query it instead of
-    re-walking every tree.
+    resolution (contracts) query it instead of re-walking every tree.
     """
 
     #: Root of the estimator class hierarchy.
@@ -232,8 +230,6 @@ class ProjectModel:
         self.modules = list(modules)
         self.classes: list[ClassInfo] = []
         self._by_name: dict[str, list[ClassInfo]] = {}
-        #: Class names referenced inside any ``*registry*`` function.
-        self.registry_names: set[str] = set()
         #: ``__all__`` entries per module relpath.
         self.exports: dict[str, set[str]] = {}
         for module in self.modules:
@@ -247,10 +243,6 @@ class ProjectModel:
         for node in ast.walk(module.tree):
             if isinstance(node, ast.ClassDef):
                 self._index_class(module, node)
-            elif isinstance(node, ast.FunctionDef) and "registry" in node.name:
-                for sub in ast.walk(node):
-                    if isinstance(sub, ast.Name):
-                        self.registry_names.add(sub.id)
         for node in module.tree.body:
             if (
                 isinstance(node, ast.Assign)

@@ -1,10 +1,12 @@
-"""Experiment plumbing: estimator registry, workload scaling, timing.
+"""Experiment plumbing: estimator names, workload scaling, timing.
 
 Every experiment builds its estimators through :func:`make_estimator`
-with the paper's configuration rules:
+(re-exported from :mod:`repro.estimators.registry`), which applies
+each class's ``for_workload`` sizing rule:
 
 - **MRB** is dimensioned by Table III (``mrb_parameters``);
 - **SMB** uses the optimal threshold of §IV-B (``optimal_threshold``);
+- **KMV** keeps one 64-bit value per 64 bits of budget;
 - **FM**, **HLL++**, **HLL-TailC** (and the extra baselines) divide the
   memory budget into their registers as §II-B describes.
 
@@ -20,32 +22,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.smb import SelfMorphingBitmap
-from repro.core.tuning import mrb_parameters, optimal_threshold
-from repro.estimators import (
-    Bitmap,
-    CardinalityEstimator,
-    FMSketch,
-    HyperLogLog,
-    HyperLogLogPlusPlus,
-    HyperLogLogTailCut,
-    HyperLogLogTailCutPlus,
-    KMinValues,
-    LogLog,
-    MultiResolutionBitmap,
-    SuperLogLog,
+from repro.estimators import CardinalityEstimator
+from repro.estimators.registry import (  # noqa: F401  (re-exported)
+    ALL_ESTIMATORS,
+    make_estimator,
 )
 
 #: The five estimators every table/figure in the paper compares.
 PAPER_ESTIMATORS = ("MRB", "FM", "HLL++", "HLL-TailC", "SMB")
-
-#: Everything the library ships, for extended experiments. (Refined HLL
-#: is excluded: it needs a labelled calibration stream, the online
-#: impracticality the paper describes.)
-ALL_ESTIMATORS = (
-    "Bitmap", "MRB", "FM", "LogLog", "SuperLogLog",
-    "HLL", "HLL++", "HLL-TailC", "HLL-TailC+", "KMV", "SMB",
-)
 
 
 def repro_scale(default: float = 1.0) -> float:
@@ -57,44 +41,6 @@ def repro_scale(default: float = 1.0) -> float:
     if scale <= 0:
         raise ValueError(f"REPRO_SCALE must be positive, got {raw!r}")
     return scale
-
-
-def make_estimator(
-    name: str,
-    memory_bits: int,
-    expected_cardinality: int = 1_000_000,
-    seed: int = 0,
-) -> CardinalityEstimator:
-    """Build an estimator by display name with the paper's sizing rules."""
-    if name == "Bitmap":
-        return Bitmap(memory_bits, seed=seed)
-    if name == "MRB":
-        params = mrb_parameters(memory_bits, expected_cardinality)
-        return MultiResolutionBitmap(
-            params.component_bits, params.num_components, seed=seed
-        )
-    if name == "FM":
-        return FMSketch(memory_bits, seed=seed)
-    if name == "LogLog":
-        return LogLog(memory_bits, seed=seed)
-    if name == "SuperLogLog":
-        return SuperLogLog(memory_bits, seed=seed)
-    if name == "HLL":
-        return HyperLogLog(memory_bits, seed=seed)
-    if name == "HLL++":
-        return HyperLogLogPlusPlus(memory_bits, seed=seed)
-    if name == "HLL-TailC":
-        return HyperLogLogTailCut(memory_bits, seed=seed)
-    if name == "HLL-TailC+":
-        return HyperLogLogTailCutPlus(memory_bits, seed=seed)
-    if name == "KMV":
-        return KMinValues.for_memory(memory_bits, seed=seed)
-    if name == "SMB":
-        threshold = optimal_threshold(memory_bits, expected_cardinality)
-        return SelfMorphingBitmap(memory_bits, threshold=threshold, seed=seed)
-    raise ValueError(
-        f"unknown estimator {name!r}; choose from {ALL_ESTIMATORS}"
-    )
 
 
 def time_call(fn: Callable[[], object], min_seconds: float = 0.05) -> float:

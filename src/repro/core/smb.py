@@ -42,19 +42,15 @@ prefetched it) is gathered from instead.
 from __future__ import annotations
 
 import math
-import struct
 from typing import Callable, Optional, Protocol
 
 import numpy as np
 
 from repro.bitvector import BitVector
 from repro.estimators.base import CardinalityEstimator
-from repro.framing import unpack_header
+from repro.estimators.state import BITMAP, Array, Field, SketchState
 from repro.hashing import GeometricHash, UniformHash
 from repro.kernels import HashPlane, geometric_request, positions_request
-
-_HEADER = struct.Struct("<4sQQQQQ")  # magic, m, T, seed, r, v
-_MAGIC = b"SMB1"
 
 #: Upper bound on the batch path's dedup window — the number of sampled
 #: arrivals examined by one ``np.unique`` pass when a morph may occur.
@@ -118,6 +114,18 @@ class SelfMorphingBitmap(CardinalityEstimator):
 
     name = "SMB"
 
+    state = SketchState(
+        b"SMB1",
+        header=(
+            Field("m", init="memory_bits"),
+            Field("T", init="threshold"),
+            Field("seed"),
+            Field("r", kind="counter"),
+            Field("v", kind="counter"),
+        ),
+        arrays=(Array("_bits", BitVector, length="m", family=BITMAP),),
+    )
+
     #: Optional metrics observer (see :class:`SMBMetricsSink`). A class
     #: attribute — not serialized state, not part of ``__init__`` — so
     #: the default costs one attribute read per recorded plane.
@@ -143,6 +151,14 @@ class SelfMorphingBitmap(CardinalityEstimator):
                 f"threshold must be in [1, m/2] = [1, {self.m // 2}], "
                 f"got {threshold}"
             )
+        # Round i scales its estimate by 2^i·m (eq. (9)); math.ldexp
+        # overflows float64 once i + log2(m) reaches 1023.
+        max_ratio = 1023 - self.m.bit_length()
+        if self.m // threshold > max_ratio:
+            raise ValueError(
+                f"m // T = {self.m // threshold} exceeds {max_ratio}, the "
+                f"largest supported m // T for m = {self.m}"
+            )
         self.T = int(threshold)
         self.seed = int(seed)
         self.r = 0  # round index
@@ -151,6 +167,15 @@ class SelfMorphingBitmap(CardinalityEstimator):
         self._geometric_hash = GeometricHash(seed)
         self._position_hash = UniformHash(seed + 0x504F53)
         self._s = round_constants(self.m, self.T)
+
+    @classmethod
+    def for_workload(
+        cls, memory_bits: int, expected_cardinality: int, seed: int = 0
+    ) -> "SelfMorphingBitmap":
+        """Construct with §IV-B's optimal threshold for the cardinality."""
+        return cls(
+            memory_bits, design_cardinality=expected_cardinality, seed=seed
+        )
 
     # ------------------------------------------------------------------
     # Derived state
@@ -451,30 +476,12 @@ class SelfMorphingBitmap(CardinalityEstimator):
             "Use HyperLogLog/MRB when distributed merging is required."
         )
 
-    def to_bytes(self) -> bytes:
-        header = _HEADER.pack(_MAGIC, self.m, self.T, self.seed, self.r, self.v)
-        return header + self._bits.to_bytes()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "SelfMorphingBitmap":
-        magic, m, t, seed, r, v = unpack_header(
-            _HEADER, data, "SelfMorphingBitmap"
-        )
-        if magic != _MAGIC:
-            raise ValueError("not a serialized SelfMorphingBitmap")
-        smb = cls(m, threshold=t, seed=seed)
-        smb.r = r
-        smb.v = v
-        # BitVector.from_bytes enforces exact consumption of the rest.
-        smb._bits = BitVector.from_bytes(data[_HEADER.size:])
-        if len(smb._bits) != m:
-            raise ValueError("corrupt SelfMorphingBitmap payload: size mismatch")
-        if smb._bits.ones != r * t + v:
-            # ones == r*T + v is an invariant of Algorithm 1.
+    def _check_state(self) -> None:
+        # ones == r*T + v is an invariant of Algorithm 1.
+        if self._bits.ones != self.r * self.T + self.v:
             raise ValueError(
                 "corrupt SelfMorphingBitmap payload: ones != r*T + v"
             )
-        return smb
 
     def __repr__(self) -> str:
         return (

@@ -38,7 +38,7 @@ from repro.engine.recovery import (
     RecoveryError,
     RetryPolicy,
 )
-from repro.engine.shards import ShardPool, estimator_registry
+from repro.engine.shards import ShardPool
 
 __all__ = [
     "CheckpointManager",
@@ -49,5 +49,4 @@ __all__ = [
     "RetryPolicy",
     "ShardPool",
     "checkpoint",
-    "estimator_registry",
 ]

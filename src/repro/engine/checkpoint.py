@@ -33,12 +33,14 @@ When observability is enabled (:mod:`repro.obs`), saves and loads
 record byte counters and duration histograms
 (``repro_checkpoint_{save,load}_{bytes_total,seconds}``).
 
-:func:`save` / :func:`load` work for any serializable estimator class in
-:func:`~repro.engine.shards.estimator_registry` (plus
-:class:`~repro.engine.shards.ShardPool` itself, whose payload nests the
-per-shard blobs). Restoring yields an estimator that continues ingesting
-exactly as the uninterrupted original would — the stateful engine test
-drives interleaved ingest/checkpoint/restore cycles to prove it.
+:func:`save` / :func:`load` work for every class
+:func:`~repro.estimators.registry.sketch_registry` accepts at its
+``"checkpoint"`` scope: the serializable estimators, the
+:class:`~repro.engine.shards.ShardPool` (whose payload nests the
+per-shard blobs) and the serving layer's ``TenantRegistry``. Restoring
+yields an estimator that continues ingesting exactly as the
+uninterrupted original would — the stateful engine test drives
+interleaved ingest/checkpoint/restore cycles to prove it.
 """
 
 from __future__ import annotations
@@ -48,10 +50,11 @@ import struct
 import tempfile
 import time
 import zlib
-from typing import Any, TypeVar, cast
+from typing import cast
 
 from repro.estimators.base import CardinalityEstimator
-from repro.engine.shards import ShardPool, estimator_registry
+from repro.estimators.registry import sketch_registry
+from repro.framing import require_consumed, take, unpack_header
 from repro.obs.metrics import get_registry
 from repro.testing.faults import fire
 
@@ -64,38 +67,6 @@ _HEADER = struct.Struct("<4sHB")  # magic, version, class-name length
 _TRAILER = struct.Struct("<IQ")  # crc32, payload length
 _MAGIC = b"RPCK"
 _VERSION = 1
-
-
-#: Extra checkpointable classes registered by higher layers — see
-#: :func:`register_checkpointable`.
-_EXTRA_CHECKPOINTABLE: dict[str, type[Any]] = {}
-
-_C = TypeVar("_C")
-
-
-def register_checkpointable(cls: type[_C]) -> type[_C]:
-    """Register a class for :func:`save`/:func:`load` round-trips.
-
-    The class must implement ``to_bytes() -> bytes`` and the classmethod
-    ``from_bytes(payload) -> cls`` with the same strict-framing
-    discipline as the estimators. Layers above the engine use this to
-    checkpoint their own aggregates — e.g. the serving layer's
-    multi-tenant registry (:class:`repro.serve.tenants.TenantRegistry`)
-    — through the exact same atomic container and
-    :class:`~repro.engine.recovery.CheckpointManager` machinery.
-    Registering the same class name twice replaces the entry (idempotent
-    for re-imports). Usable as a class decorator.
-    """
-    _EXTRA_CHECKPOINTABLE[cls.__name__] = cls
-    return cls
-
-
-def _registry() -> dict[str, type[Any]]:
-    """The estimator registry extended with the pool type itself."""
-    registry: dict[str, type[Any]] = dict(estimator_registry())
-    registry[ShardPool.__name__] = ShardPool
-    registry.update(_EXTRA_CHECKPOINTABLE)
-    return registry
 
 
 def _current_umask() -> int:
@@ -140,7 +111,7 @@ def save(
     """Atomically write an estimator snapshot; returns bytes written.
 
     The estimator must support ``to_bytes`` and be restorable through
-    :func:`load` (i.e. its class must appear in the registry). After
+    :func:`load` (i.e. its class must be registered for checkpoints). After
     the temp file is fsynced and renamed into place, the containing
     directory is fsynced as well so the rename survives a crash; pass
     ``sync_directory=False`` to skip that (tests, throwaway dirs).
@@ -148,10 +119,10 @@ def save(
     obs = get_registry()
     began = time.perf_counter() if obs.enabled else 0.0
     class_name = type(estimator).__name__
-    if class_name not in _registry():
+    if class_name not in sketch_registry("checkpoint"):
         raise ValueError(
-            f"{class_name} is not checkpointable (not in the estimator "
-            "registry)"
+            f"{class_name} is not checkpointable (not registered for "
+            "checkpoints)"
         )
     payload = estimator.to_bytes()
     name_bytes = class_name.encode("ascii")
@@ -215,38 +186,28 @@ def load(path: str | os.PathLike[str]) -> CardinalityEstimator:
     began = time.perf_counter() if obs.enabled else 0.0
     with open(os.fspath(path), "rb") as handle:
         data = handle.read()
-    if len(data) < _HEADER.size + _TRAILER.size:
-        raise ValueError("not a checkpoint file: too short")
-    magic, version, name_length = _HEADER.unpack_from(data)
+    magic, version, name_length = unpack_header(_HEADER, data, "checkpoint")
     if magic != _MAGIC:
         raise ValueError("not a checkpoint file: bad magic")
     if version != _VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    offset = _HEADER.size
-    name_bytes = data[offset:offset + name_length]
-    if len(name_bytes) != name_length:
-        raise ValueError("corrupt checkpoint: truncated class name")
-    class_name = name_bytes.decode("ascii")
-    offset += name_length
-    try:
-        crc, payload_length = _TRAILER.unpack_from(data, offset)
-    except struct.error as error:
-        raise ValueError("corrupt checkpoint: truncated header") from error
-    offset += _TRAILER.size
-    if len(data) != offset + payload_length:
-        # Strict framing: reject truncation AND trailing garbage — a
-        # concatenated or overwritten-in-place file would pass the CRC
-        # over the payload prefix.
-        kind = "truncated" if len(data) < offset + payload_length else "trailing bytes after"
-        raise ValueError(f"corrupt checkpoint: {kind} payload")
-    payload = data[offset:]
+    what = "checkpoint"
+    name, offset = take(data, _HEADER.size, name_length, what, "class name")
+    trailer, offset = take(data, offset, _TRAILER.size, what, "trailer")
+    crc, payload_length = _TRAILER.unpack(trailer)
+    payload, offset = take(data, offset, payload_length, what, "body")
+    # Strict framing: trailing garbage is rejected too, since a
+    # concatenated or overwritten-in-place file would pass the CRC over
+    # the payload prefix.
+    require_consumed(data, offset, what)
     if zlib.crc32(payload) != crc:
         raise ValueError("corrupt checkpoint: payload CRC mismatch")
-    cls = _registry().get(class_name)
+    class_name = name.decode("ascii")
+    cls = sketch_registry("checkpoint").get(class_name)
     if cls is None:
         raise ValueError(f"unknown checkpoint class {class_name!r}")
-    # Registered extras (register_checkpointable) satisfy the same
-    # to_bytes/from_bytes surface without subclassing the base.
+    # A TenantRegistry has the same to_bytes/from_bytes surface without
+    # subclassing the estimator base.
     estimator = cast(CardinalityEstimator, cls.from_bytes(payload))
     if obs.enabled:
         obs.counter(

@@ -42,15 +42,15 @@ import argparse
 import os
 import time
 
-from repro.bench.runner import ALL_ESTIMATORS
 from repro.engine.checkpoint import load, save
 from repro.engine.pipeline import DEFAULT_CHUNK, IngestPipeline
 from repro.engine.recovery import CheckpointManager, RecoveryError
 from repro.engine.shards import ShardPool
+from repro.estimators.registry import ALL_ESTIMATORS
 from repro.streams import distinct_items, stream_with_duplicates
 
-#: Estimator display names the engine accepts. Every entry of the bench
-#: registry serializes, so every entry is checkpointable.
+#: Estimator display names the engine accepts. Every one of them
+#: declares its state, so every one is checkpointable.
 ENGINE_ESTIMATORS = ALL_ESTIMATORS
 
 

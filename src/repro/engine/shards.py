@@ -36,7 +36,9 @@ import struct
 from typing import Callable
 
 from repro.estimators.base import CardinalityEstimator
+from repro.estimators.registry import make_estimator, register, sketch_registry
 from repro.engine.partition import Partitioner
+from repro.framing import require_consumed, take, unpack_header
 from repro.kernels import HashPlane
 from repro.kernels.plane import PlaneRequest
 
@@ -46,45 +48,7 @@ _MAGIC = b"POOL"
 _VERSION = 1
 
 
-def estimator_registry() -> dict[str, type[CardinalityEstimator]]:
-    """Class-name → class map of every serializable estimator.
-
-    Used by the pool (and the checkpoint layer) to reconstruct shard
-    estimators from their serialized form: each shard blob fully encodes
-    its own configuration, so restoring needs only the class.
-    """
-    from repro.core.smb import SelfMorphingBitmap
-    from repro.estimators import (
-        Bitmap,
-        FMSketch,
-        HyperLogLog,
-        HyperLogLogPlusPlus,
-        HyperLogLogTailCut,
-        HyperLogLogTailCutPlus,
-        KMinValues,
-        LogLog,
-        MultiResolutionBitmap,
-        RefinedHyperLogLog,
-        SuperLogLog,
-    )
-
-    classes = (
-        Bitmap,
-        FMSketch,
-        HyperLogLog,
-        HyperLogLogPlusPlus,
-        HyperLogLogTailCut,
-        HyperLogLogTailCutPlus,
-        KMinValues,
-        LogLog,
-        MultiResolutionBitmap,
-        RefinedHyperLogLog,
-        SuperLogLog,
-        SelfMorphingBitmap,
-    )
-    return {cls.__name__: cls for cls in classes}
-
-
+@register("wire")
 class ShardPool(CardinalityEstimator):
     """K hash-partitioned estimators with an exactly-additive query.
 
@@ -137,8 +101,6 @@ class ShardPool(CardinalityEstimator):
         same estimator seed so that :meth:`merged` stays valid for
         mergeable types.
         """
-        from repro.bench.runner import make_estimator
-
         shard_bits = max(64, int(memory_bits) // int(num_shards))
         shard_design = max(1_000, int(design_cardinality) // int(num_shards))
         return cls(
@@ -302,48 +264,32 @@ class ShardPool(CardinalityEstimator):
 
         Each shard blob fully encodes its own configuration, so no
         factory is needed; shard classes resolve through
-        :func:`estimator_registry`. Framing is strict: a truncated
-        shard header, class name or blob — and any trailing bytes
-        after the last shard — raise ``ValueError``.
+        :func:`~repro.estimators.registry.sketch_registry`. Framing is
+        strict: a truncated shard header, class name or blob — and any
+        trailing bytes after the last shard — raise ``ValueError``.
         """
-        try:
-            magic, version, num_shards, seed = _HEADER.unpack_from(data)
-        except struct.error as error:
-            raise ValueError("not a serialized ShardPool: too short") from error
+        what = "ShardPool"
+        magic, version, num_shards, seed = unpack_header(_HEADER, data, what)
         if magic != _MAGIC:
             raise ValueError("not a serialized ShardPool")
         if version != _VERSION:
             raise ValueError(f"unsupported ShardPool version {version}")
-        registry = estimator_registry()
+        registry = sketch_registry("shard")
         shards: list[CardinalityEstimator] = []
         offset = _HEADER.size
         for __ in range(num_shards):
-            try:
-                name_len, blob_len = _SHARD_HEADER.unpack_from(data, offset)
-            except struct.error as error:
-                raise ValueError(
-                    "corrupt ShardPool payload: truncated shard header"
-                ) from error
-            offset += _SHARD_HEADER.size
-            name_bytes = data[offset:offset + name_len]
-            if len(name_bytes) != name_len:
-                raise ValueError(
-                    "corrupt ShardPool payload: truncated shard class name"
-                )
-            class_name = name_bytes.decode("ascii")
-            offset += name_len
-            blob = data[offset:offset + blob_len]
-            if len(blob) != blob_len:
-                raise ValueError("corrupt ShardPool payload: truncated shard")
-            offset += blob_len
+            head, offset = take(
+                data, offset, _SHARD_HEADER.size, what, "shard header"
+            )
+            name_len, blob_len = _SHARD_HEADER.unpack(head)
+            name, offset = take(data, offset, name_len, what, "shard class name")
+            blob, offset = take(data, offset, blob_len, what, "shard")
+            class_name = name.decode("ascii")
             shard_cls = registry.get(class_name)
             if shard_cls is None:
                 raise ValueError(f"unknown shard estimator {class_name!r}")
             shards.append(shard_cls.from_bytes(blob))
-        if offset != len(data):
-            raise ValueError(
-                "corrupt ShardPool payload: trailing bytes after last shard"
-            )
+        require_consumed(data, offset, what)
         iterator = iter(shards)
         return cls(lambda __: next(iterator), num_shards, seed=seed)
 

@@ -11,18 +11,14 @@ are sampled consistently) and the estimate is scaled by ``1/p``.
 from __future__ import annotations
 
 import math
-import struct
 
 import numpy as np
 
 from repro.bitvector import BitVector
 from repro.estimators.base import CardinalityEstimator
-from repro.framing import unpack_header
+from repro.estimators.state import BITMAP, Array, Field, SketchState
 from repro.hashing import MASK64, UniformHash
 from repro.kernels import HashPlane, positions_request, uniform_request
-
-_HEADER = struct.Struct("<4sQQdQ")  # magic, memory_bits, seed, p, reserved
-_MAGIC = b"BMP1"
 
 
 class Bitmap(CardinalityEstimator):
@@ -41,6 +37,17 @@ class Bitmap(CardinalityEstimator):
     """
 
     name = "Bitmap"
+
+    state = SketchState(
+        b"BMP1",
+        header=(
+            Field("m", init="memory_bits"),
+            Field("seed"),
+            Field("p", "d", init="sampling_probability"),
+            Field("", kind="reserved"),
+        ),
+        arrays=(Array("_bits", BitVector, length="m", family=BITMAP),),
+    )
 
     def __init__(
         self,
@@ -124,21 +131,4 @@ class Bitmap(CardinalityEstimator):
     def merge(self, other: CardinalityEstimator) -> None:
         self._check_mergeable(other)
         assert isinstance(other, Bitmap)
-        self._check_merge_params(other, "m", "seed", "p")
         self._bits.or_update(other._bits)
-
-    def to_bytes(self) -> bytes:
-        header = _HEADER.pack(_MAGIC, self.m, self.seed, self.p, 0)
-        return header + self._bits.to_bytes()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Bitmap":
-        magic, m, seed, p, __ = unpack_header(_HEADER, data, "Bitmap")
-        if magic != _MAGIC:
-            raise ValueError("not a serialized Bitmap")
-        bitmap = cls(m, seed=seed, sampling_probability=p)
-        # BitVector.from_bytes enforces exact consumption of the rest.
-        bitmap._bits = BitVector.from_bytes(data[_HEADER.size:])
-        if len(bitmap._bits) != m:
-            raise ValueError("corrupt Bitmap payload: size mismatch")
-        return bitmap

@@ -14,12 +14,11 @@ where φ is Flajolet–Martin's bias correction constant.
 from __future__ import annotations
 
 import math
-import struct
 
 import numpy as np
 
 from repro.estimators.base import CardinalityEstimator
-from repro.framing import read_array, require_consumed, unpack_header
+from repro.estimators.state import BITMAP, Array, Field, SketchState
 from repro.hashing import (
     GeometricHash,
     UniformHash,
@@ -38,9 +37,6 @@ PHI = 0.77351
 
 REGISTER_BITS = 32
 
-_HEADER = struct.Struct("<4sQQ")
-_MAGIC = b"FMS1"
-
 
 class FMSketch(CardinalityEstimator):
     """FM / PCSA estimator (see module docstring).
@@ -55,6 +51,17 @@ class FMSketch(CardinalityEstimator):
     """
 
     name = "FM"
+
+    # Each register is a small bitmap of geometric levels, so the array
+    # codes like a bit plane on the wire.
+    state = SketchState(
+        b"FMS1",
+        header=(
+            Field("t", init="memory_bits", scale=REGISTER_BITS),
+            Field("seed"),
+        ),
+        arrays=(Array("_registers", np.uint32, length="t", family=BITMAP),),
+    )
 
     def __init__(self, memory_bits: int, seed: int = 0) -> None:
         super().__init__()
@@ -128,24 +135,7 @@ class FMSketch(CardinalityEstimator):
     def merge(self, other: CardinalityEstimator) -> None:
         self._check_mergeable(other)
         assert isinstance(other, FMSketch)
-        self._check_merge_params(other, "t", "seed")
         np.bitwise_or(self._registers, other._registers, out=self._registers)
-
-    def to_bytes(self) -> bytes:
-        return _HEADER.pack(_MAGIC, self.t, self.seed) + self._registers.tobytes()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "FMSketch":
-        magic, t, seed = unpack_header(_HEADER, data, "FMSketch")
-        if magic != _MAGIC:
-            raise ValueError("not a serialized FMSketch")
-        sketch = cls(t * REGISTER_BITS, seed=seed)
-        registers, offset = read_array(
-            data, _HEADER.size, np.uint32, t, "FMSketch", "registers"
-        )
-        require_consumed(data, offset, "FMSketch")
-        sketch._registers = registers
-        return sketch
 
     # Convenience used by tests/examples.
     @property

@@ -24,13 +24,13 @@ register counts the paper's memory budgets produce (see DESIGN.md §5).
 from __future__ import annotations
 
 import math
-import struct
+from dataclasses import replace
 
 import numpy as np
 
 from repro.estimators._hll_bias import BIAS_RATIO, BIAS_REL
 from repro.estimators.base import CardinalityEstimator
-from repro.framing import read_array, require_consumed, unpack_header
+from repro.estimators.state import REGISTERS, Array, Field, SketchState
 from repro.hashing import GeometricHash, UniformHash
 from repro.kernels import (
     HashPlane,
@@ -43,7 +43,12 @@ REGISTER_BITS = 5
 #: Maximum geometric hash value recorded (register stores G+1 <= 31).
 MAX_RANK = 31
 
-_HEADER = struct.Struct("<4sQQ")
+#: HLL and HLL++ share one layout under different magics.
+_STATE = SketchState(
+    b"HLL1",
+    header=(Field("t", init="memory_bits", scale=REGISTER_BITS), Field("seed")),
+    arrays=(Array("_registers", np.uint8, length="t", family=REGISTERS),),
+)
 
 
 def alpha(t: int) -> float:
@@ -69,7 +74,7 @@ class HyperLogLog(CardinalityEstimator):
     """
 
     name = "HLL"
-    _magic = b"HLL1"
+    state = _STATE
 
     def __init__(self, memory_bits: int, seed: int = 0) -> None:
         super().__init__()
@@ -137,24 +142,7 @@ class HyperLogLog(CardinalityEstimator):
     # ------------------------------------------------------------------
     def merge(self, other: CardinalityEstimator) -> None:
         self._check_mergeable(other)
-        self._check_merge_params(other, "t", "seed")
         np.maximum(self._registers, other._registers, out=self._registers)
-
-    def to_bytes(self) -> bytes:
-        return _HEADER.pack(self._magic, self.t, self.seed) + self._registers.tobytes()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "HyperLogLog":
-        magic, t, seed = unpack_header(_HEADER, data, cls.__name__)
-        if magic != cls._magic:
-            raise ValueError(f"not a serialized {cls.__name__}")
-        sketch = cls(t * REGISTER_BITS, seed=seed)
-        registers, offset = read_array(
-            data, _HEADER.size, np.uint8, t, cls.__name__, "registers"
-        )
-        require_consumed(data, offset, cls.__name__)
-        sketch._registers = registers
-        return sketch
 
     @property
     def registers(self) -> np.ndarray:
@@ -184,7 +172,8 @@ class HyperLogLogPlusPlus(HyperLogLog):
     """
 
     name = "HLL++"
-    _magic = b"HPP1"
+
+    state = replace(_STATE, magic=b"HPP1")
 
     #: Linear counting is used while it estimates below this multiple of t.
     LC_THRESHOLD = 0.7

@@ -23,13 +23,12 @@ for.
 from __future__ import annotations
 
 import math
-import struct
 
 import numpy as np
 
 from repro.estimators.base import CardinalityEstimator
 from repro.estimators.hll import MAX_RANK, _bias, alpha
-from repro.framing import read_array, require_consumed, unpack_header
+from repro.estimators.state import REGISTERS, Array, Field, SketchState
 from repro.hashing import GeometricHash, UniformHash
 from repro.kernels import (
     HashPlane,
@@ -40,9 +39,6 @@ from repro.kernels import (
 
 REGISTER_BITS = 4
 OFFSET_MAX = (1 << REGISTER_BITS) - 1  # 15
-
-_HEADER = struct.Struct("<4sQQQ")
-_MAGIC = b"HTC1"
 
 
 class HyperLogLogTailCut(CardinalityEstimator):
@@ -57,6 +53,16 @@ class HyperLogLogTailCut(CardinalityEstimator):
     """
 
     name = "HLL-TailC"
+
+    state = SketchState(
+        b"HTC1",
+        header=(
+            Field("t", init="memory_bits", scale=REGISTER_BITS),
+            Field("seed"),
+            Field("base", kind="counter"),
+        ),
+        arrays=(Array("_offsets", np.uint8, length="t", family=REGISTERS),),
+    )
 
     #: Linear counting / bias thresholds follow HLL++.
     LC_THRESHOLD = 0.7
@@ -165,30 +171,11 @@ class HyperLogLogTailCut(CardinalityEstimator):
     def merge(self, other: CardinalityEstimator) -> None:
         self._check_mergeable(other)
         assert isinstance(other, HyperLogLogTailCut)
-        self._check_merge_params(other, "t", "seed")
         mine = self._offsets.astype(np.int64) + self.base
         theirs = other._offsets.astype(np.int64) + other.base
         merged = np.maximum(mine, theirs)
         self.base = int(merged.min())
         self._offsets = np.clip(merged - self.base, 0, OFFSET_MAX).astype(np.uint8)
-
-    def to_bytes(self) -> bytes:
-        header = _HEADER.pack(_MAGIC, self.t, self.seed, self.base)
-        return header + self._offsets.tobytes()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "HyperLogLogTailCut":
-        magic, t, seed, base = unpack_header(_HEADER, data, "HyperLogLogTailCut")
-        if magic != _MAGIC:
-            raise ValueError("not a serialized HyperLogLogTailCut")
-        sketch = cls(t * REGISTER_BITS, seed=seed)
-        sketch.base = base
-        offsets, offset = read_array(
-            data, _HEADER.size, np.uint8, t, "HyperLogLogTailCut", "offsets"
-        )
-        require_consumed(data, offset, "HyperLogLogTailCut")
-        sketch._offsets = offsets
-        return sketch
 
     @property
     def offsets(self) -> np.ndarray:

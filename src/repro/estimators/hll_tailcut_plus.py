@@ -24,13 +24,12 @@ counter reads, which is exactly the trade the paper describes.
 from __future__ import annotations
 
 import math
-import struct
 
 import numpy as np
 
 from repro.estimators.base import CardinalityEstimator
 from repro.estimators.hll import MAX_RANK
-from repro.framing import read_array, require_consumed, unpack_header
+from repro.estimators.state import REGISTERS, Array, Field, SketchState
 from repro.hashing import GeometricHash, UniformHash
 from repro.kernels import (
     HashPlane,
@@ -41,9 +40,6 @@ from repro.kernels import (
 
 REGISTER_BITS = 3
 OFFSET_MAX = (1 << REGISTER_BITS) - 1  # 7
-
-_HEADER = struct.Struct("<4sQQQ")
-_MAGIC = b"HTP1"
 
 
 def _log_cdf(y: int, per_register: float) -> float:
@@ -84,6 +80,16 @@ class HyperLogLogTailCutPlus(CardinalityEstimator):
     """
 
     name = "HLL-TailC+"
+
+    state = SketchState(
+        b"HTP1",
+        header=(
+            Field("t", init="memory_bits", scale=REGISTER_BITS),
+            Field("seed"),
+            Field("base", kind="counter"),
+        ),
+        arrays=(Array("_offsets", np.uint8, length="t", family=REGISTERS),),
+    )
 
     def __init__(self, memory_bits: int, seed: int = 0) -> None:
         super().__init__()
@@ -208,29 +214,8 @@ class HyperLogLogTailCutPlus(CardinalityEstimator):
     def merge(self, other: CardinalityEstimator) -> None:
         self._check_mergeable(other)
         assert isinstance(other, HyperLogLogTailCutPlus)
-        self._check_merge_params(other, "t", "seed")
         mine = self._offsets.astype(np.int64) + self.base
         theirs = other._offsets.astype(np.int64) + other.base
         merged = np.maximum(mine, theirs)
         self.base = int(merged.min())
         self._offsets = np.clip(merged - self.base, 0, OFFSET_MAX).astype(np.uint8)
-
-    def to_bytes(self) -> bytes:
-        header = _HEADER.pack(_MAGIC, self.t, self.seed, self.base)
-        return header + self._offsets.tobytes()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "HyperLogLogTailCutPlus":
-        magic, t, seed, base = unpack_header(
-            _HEADER, data, "HyperLogLogTailCutPlus"
-        )
-        if magic != _MAGIC:
-            raise ValueError("not a serialized HyperLogLogTailCutPlus")
-        sketch = cls(t * REGISTER_BITS, seed=seed)
-        sketch.base = base
-        offsets, offset = read_array(
-            data, _HEADER.size, np.uint8, t, "HyperLogLogTailCutPlus", "offsets"
-        )
-        require_consumed(data, offset, "HyperLogLogTailCutPlus")
-        sketch._offsets = offsets
-        return sketch

@@ -17,12 +17,12 @@ Members of the LogLog family described in §II-B of the paper. Both use
 from __future__ import annotations
 
 import math
-import struct
+from dataclasses import replace
 
 import numpy as np
 
 from repro.estimators.base import CardinalityEstimator
-from repro.framing import read_array, require_consumed, unpack_header
+from repro.estimators.state import REGISTERS, Array, Field, SketchState
 from repro.hashing import GeometricHash, UniformHash
 from repro.kernels import (
     HashPlane,
@@ -44,14 +44,19 @@ TRUNCATION = 0.7
 #: tools/calibrate_constants.py with 500 trials (see module docstring).
 ALPHA_SUPERLOGLOG = 0.77469
 
-_HEADER = struct.Struct("<4sQQ")
+#: LogLog and SuperLogLog share one layout under different magics.
+_STATE = SketchState(
+    b"LLG1",
+    header=(Field("t", init="memory_bits", scale=REGISTER_BITS), Field("seed")),
+    arrays=(Array("_registers", np.uint8, length="t", family=REGISTERS),),
+)
 
 
 class LogLog(CardinalityEstimator):
     """LogLog estimator (see module docstring)."""
 
     name = "LogLog"
-    _magic = b"LLG1"
+    state = _STATE
 
     def __init__(self, memory_bits: int, seed: int = 0) -> None:
         super().__init__()
@@ -126,24 +131,7 @@ class LogLog(CardinalityEstimator):
     # ------------------------------------------------------------------
     def merge(self, other: CardinalityEstimator) -> None:
         self._check_mergeable(other)
-        self._check_merge_params(other, "t", "seed")
         np.maximum(self._registers, other._registers, out=self._registers)
-
-    def to_bytes(self) -> bytes:
-        return _HEADER.pack(self._magic, self.t, self.seed) + self._registers.tobytes()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "LogLog":
-        magic, t, seed = unpack_header(_HEADER, data, cls.__name__)
-        if magic != cls._magic:
-            raise ValueError(f"not a serialized {cls.__name__}")
-        sketch = cls(t * REGISTER_BITS, seed=seed)
-        registers, offset = read_array(
-            data, _HEADER.size, np.uint8, t, cls.__name__, "registers"
-        )
-        require_consumed(data, offset, cls.__name__)
-        sketch._registers = registers
-        return sketch
 
     @property
     def registers(self) -> np.ndarray:
@@ -156,7 +144,8 @@ class SuperLogLog(LogLog):
     """SuperLogLog: LogLog with truncation of the largest registers."""
 
     name = "SuperLogLog"
-    _magic = b"SLL1"
+
+    state = replace(_STATE, magic=b"SLL1")
 
     def query(self) -> float:
         self.bits_accessed += self.t * REGISTER_BITS

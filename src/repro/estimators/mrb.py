@@ -24,18 +24,14 @@ query touches ``k`` counters, not ``m`` bits.
 from __future__ import annotations
 
 import math
-import struct
 
 import numpy as np
 
 from repro.bitvector import BitVector
 from repro.estimators.base import CardinalityEstimator
-from repro.framing import require_consumed, take, unpack_header
+from repro.estimators.state import BITMAP, Array, Field, SketchState
 from repro.hashing import GeometricHash, UniformHash
 from repro.kernels import HashPlane, geometric_request, positions_request
-
-_HEADER = struct.Struct("<4sQQQd")
-_MAGIC = b"MRB1"
 
 #: Default saturation fraction: a component with more than this fraction
 #: of ones is considered too dense to estimate from (Estan et al. use a
@@ -59,6 +55,20 @@ class MultiResolutionBitmap(CardinalityEstimator):
     """
 
     name = "MRB"
+
+    state = SketchState(
+        b"MRB1",
+        header=(
+            Field("b", init="component_bits"),
+            Field("k", init="num_components"),
+            Field("seed"),
+            # Only the query reads the setline, so merges may differ.
+            Field("saturation", "d", merge=False),
+        ),
+        arrays=(
+            Array("_components", BitVector, length="b", count="k", family=BITMAP),
+        ),
+    )
 
     def __init__(
         self,
@@ -169,35 +179,5 @@ class MultiResolutionBitmap(CardinalityEstimator):
     def merge(self, other: CardinalityEstimator) -> None:
         self._check_mergeable(other)
         assert isinstance(other, MultiResolutionBitmap)
-        self._check_merge_params(other, "b", "k", "seed")
         for mine, theirs in zip(self._components, other._components):
             mine.or_update(theirs)
-
-    def to_bytes(self) -> bytes:
-        header = _HEADER.pack(_MAGIC, self.b, self.k, self.seed, self.saturation)
-        payload = b"".join(component.to_bytes() for component in self._components)
-        return header + payload
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "MultiResolutionBitmap":
-        magic, b, k, seed, saturation = unpack_header(
-            _HEADER, data, "MultiResolutionBitmap"
-        )
-        if magic != _MAGIC:
-            raise ValueError("not a serialized MultiResolutionBitmap")
-        mrb = cls(b, k, seed=seed, saturation=saturation)
-        offset = _HEADER.size
-        component_size = len(mrb._components[0].to_bytes())
-        components = []
-        for index in range(k):
-            blob, offset = take(
-                data,
-                offset,
-                component_size,
-                "MultiResolutionBitmap",
-                f"component {index}",
-            )
-            components.append(BitVector.from_bytes(blob))
-        require_consumed(data, offset, "MultiResolutionBitmap")
-        mrb._components = components
-        return mrb

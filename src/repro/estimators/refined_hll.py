@@ -21,12 +21,11 @@ until ``learn`` has been called, :meth:`query` raises.
 from __future__ import annotations
 
 import math
-import struct
 
 import numpy as np
 
 from repro.estimators.base import CardinalityEstimator
-from repro.framing import read_array, require_consumed, unpack_header
+from repro.estimators.state import REGISTERS, Array, Field, SketchState
 from repro.hashing import UniformHash, trailing_zeros
 from repro.kernels import (
     HashPlane,
@@ -38,10 +37,6 @@ from repro.kernels import (
 REGISTER_MAX = 31
 
 _U64_BITS = 64
-
-# magic, t, seed, base, coefficient (NaN while unlearned).
-_HEADER = struct.Struct("<4sQQdd")
-_MAGIC = b"RHL1"
 
 
 class RefinedHyperLogLog(CardinalityEstimator):
@@ -58,6 +53,17 @@ class RefinedHyperLogLog(CardinalityEstimator):
     """
 
     name = "RefinedHLL"
+
+    state = SketchState(
+        b"RHL1",
+        header=(
+            Field("t", init="memory_bits", scale=5),
+            Field("seed"),
+            Field("base", "d"),
+            Field("coefficient", "d", kind="counter"),  # NaN while unlearned
+        ),
+        arrays=(Array("_registers", np.uint8, length="t", family=REGISTERS),),
+    )
 
     def __init__(self, memory_bits: int, base: float = 4.0, seed: int = 0) -> None:
         super().__init__()
@@ -161,29 +167,7 @@ class RefinedHyperLogLog(CardinalityEstimator):
     def merge(self, other: CardinalityEstimator) -> None:
         self._check_mergeable(other)
         assert isinstance(other, RefinedHyperLogLog)
-        self._check_merge_params(other, "t", "seed", "base")
         np.maximum(self._registers, other._registers, out=self._registers)
-
-    def to_bytes(self) -> bytes:
-        coefficient = math.nan if self.coefficient is None else self.coefficient
-        header = _HEADER.pack(_MAGIC, self.t, self.seed, self.base, coefficient)
-        return header + self._registers.tobytes()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "RefinedHyperLogLog":
-        magic, t, seed, base, coefficient = unpack_header(
-            _HEADER, data, "RefinedHyperLogLog"
-        )
-        if magic != _MAGIC:
-            raise ValueError("not a serialized RefinedHyperLogLog")
-        sketch = cls(t * 5, base=base, seed=seed)
-        sketch.coefficient = None if math.isnan(coefficient) else coefficient
-        registers, offset = read_array(
-            data, _HEADER.size, np.uint8, t, "RefinedHyperLogLog", "registers"
-        )
-        require_consumed(data, offset, "RefinedHyperLogLog")
-        sketch._registers = registers
-        return sketch
 
     @property
     def registers(self) -> np.ndarray:

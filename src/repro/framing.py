@@ -13,9 +13,10 @@ compact wire frames), so decoding is adversarial by default. Every
 - array fields are copied out of the payload so the restored object
   never aliases (or holds read-only views of) the caller's buffer.
 
-The ``serialization.unchecked-tail`` analysis rule flags ``from_bytes``
-implementations that slice their payload without an exact-consumption
-check; routing decoding through these helpers satisfies it.
+Estimators with declared state (:mod:`repro.estimators.state`) decode
+through these helpers generically; the hand-written containers
+(``ShardPool``, ``TenantRegistry``, checkpoints, wire frames) call
+them directly.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ def unpack_header(header: struct.Struct, data: bytes, what: str) -> tuple[Any, .
     """
     if len(data) < header.size:
         raise ValueError(
-            f"truncated {what} payload: header needs {header.size} bytes, "
-            f"got {len(data)}"
+            f"truncated header in {what} payload: needs {header.size} "
+            f"bytes, got {len(data)}"
         )
     return header.unpack_from(data)
 
@@ -54,7 +55,7 @@ def take(
     end = offset + size
     if end > len(data):
         raise ValueError(
-            f"truncated {what} payload: {field} needs {size} bytes at "
+            f"truncated {field} in {what} payload: needs {size} bytes at "
             f"offset {offset}, only {len(data) - offset} remain"
         )
     return data[offset:end], end

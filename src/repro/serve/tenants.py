@@ -12,8 +12,8 @@ streams hold bit-identical state — the property the kill-and-resume
 test asserts against a local oracle.
 
 The registry serializes with the same strict-framing discipline as the
-estimators and is registered with the checkpoint layer
-(:func:`repro.engine.checkpoint.register_checkpointable`), so the whole
+estimators (through :mod:`repro.framing`) and is registered for
+checkpoints (:func:`repro.estimators.registry.register`), so the whole
 multi-tenant state rides one atomic
 :class:`~repro.engine.recovery.CheckpointManager` generation::
 
@@ -36,8 +36,9 @@ import struct
 import zlib
 from dataclasses import asdict, dataclass
 
-from repro.engine.checkpoint import register_checkpointable
 from repro.engine.shards import ShardPool
+from repro.estimators.registry import register
+from repro.framing import require_consumed, take, unpack_header
 
 __all__ = ["TenantConfig", "TenantLimitError", "TenantRegistry"]
 
@@ -116,7 +117,7 @@ class TenantConfig:
         )
 
 
-@register_checkpointable
+@register("checkpoint")
 class TenantRegistry:
     """Lazily-populated tenant-name → shard-pool map."""
 
@@ -197,73 +198,43 @@ class TenantRegistry:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "TenantRegistry":
-        if len(data) < _HEADER.size:
-            raise ValueError("not a tenant registry: too short")
-        magic, version, config_length = _HEADER.unpack_from(data)
+        """Restore a registry serialized by :meth:`to_bytes` (strict)."""
+        what = "tenant registry"
+        magic, version, config_length = unpack_header(_HEADER, data, what)
         if magic != _MAGIC:
             raise ValueError("not a tenant registry: bad magic")
         if version != _VERSION:
             raise ValueError(
                 f"unsupported tenant registry version {version}"
             )
-        offset = _HEADER.size
-        config_raw = data[offset:offset + config_length]
-        if len(config_raw) != config_length:
-            raise ValueError("corrupt tenant registry: truncated config")
-        offset += config_length
+        config_raw, offset = take(data, _HEADER.size, config_length, what, "config")
         try:
             config = TenantConfig(**json.loads(config_raw.decode("utf-8")))
         except (TypeError, ValueError) as error:
             raise ValueError(
                 "corrupt tenant registry: bad config JSON"
             ) from error
-        try:
-            (count,) = _COUNT.unpack_from(data, offset)
-        except struct.error as error:
-            raise ValueError(
-                "corrupt tenant registry: truncated tenant count"
-            ) from error
-        offset += _COUNT.size
+        raw, offset = take(data, offset, _COUNT.size, what, "tenant count")
+        (count,) = _COUNT.unpack(raw)
         registry = cls(config)
         previous: bytes | None = None
         for __ in range(count):
-            try:
-                (name_length,) = _NAME.unpack_from(data, offset)
-            except struct.error as error:
-                raise ValueError(
-                    "corrupt tenant registry: truncated tenant name length"
-                ) from error
-            offset += _NAME.size
-            name_raw = data[offset:offset + name_length]
-            if len(name_raw) != name_length:
-                raise ValueError(
-                    "corrupt tenant registry: truncated tenant name"
-                )
-            offset += name_length
+            raw, offset = take(data, offset, _NAME.size, what, "name length")
+            name_raw, offset = take(
+                data, offset, _NAME.unpack(raw)[0], what, "tenant name"
+            )
             if previous is not None and name_raw <= previous:
                 # Canonical order doubles as a duplicate check.
                 raise ValueError(
                     "corrupt tenant registry: tenants out of order"
                 )
             previous = name_raw
-            try:
-                (blob_length,) = _BLOB.unpack_from(data, offset)
-            except struct.error as error:
-                raise ValueError(
-                    "corrupt tenant registry: truncated pool length"
-                ) from error
-            offset += _BLOB.size
-            blob = data[offset:offset + blob_length]
-            if len(blob) != blob_length:
-                raise ValueError(
-                    "corrupt tenant registry: truncated pool blob"
-                )
-            offset += blob_length
+            raw, offset = take(data, offset, _BLOB.size, what, "pool length")
+            blob, offset = take(
+                data, offset, _BLOB.unpack(raw)[0], what, "pool blob"
+            )
             registry.pools[name_raw.decode("utf-8")] = ShardPool.from_bytes(
                 blob
             )
-        if offset != len(data):
-            raise ValueError(
-                "corrupt tenant registry: trailing bytes after payload"
-            )
+        require_consumed(data, offset, what)
         return registry

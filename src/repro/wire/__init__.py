@@ -3,7 +3,8 @@
 - :mod:`repro.wire.frame` — the versioned, self-describing frame:
   :func:`encode_sketch` / :func:`decode_sketch` round-trip any
   serializable sketch (the whole mergeable zoo plus
-  :class:`~repro.engine.shards.ShardPool`) bit-exactly;
+  :class:`~repro.engine.shards.ShardPool`) bit-exactly, and never
+  decode more than :data:`MAX_RAW_BYTES`;
 - :mod:`repro.wire.huffman` — HBS-style canonical Huffman coding for
   the register families;
 - :mod:`repro.wire.rle` — sparse zero-run-length coding for low-fill
@@ -14,11 +15,11 @@ from repro.wire.frame import (
     CODEC_HUFFMAN,
     CODEC_RAW,
     CODEC_ZRLE,
+    MAX_RAW_BYTES,
     FrameInfo,
     decode_sketch,
     encode_sketch,
     frame_info,
-    wire_registry,
 )
 
 __all__ = [
@@ -26,8 +27,8 @@ __all__ = [
     "CODEC_RAW",
     "CODEC_ZRLE",
     "FrameInfo",
+    "MAX_RAW_BYTES",
     "decode_sketch",
     "encode_sketch",
     "frame_info",
-    "wire_registry",
 ]

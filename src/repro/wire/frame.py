@@ -1,26 +1,33 @@
 """Versioned, self-describing compact sketch frames.
 
-A frame wraps one serialized sketch (any estimator with ``to_bytes`` /
-``from_bytes``, including a whole :class:`~repro.engine.shards.ShardPool`)
-for transport between nodes — the EXPORT/MERGE_IN verbs of the serve
-protocol, ``repro agg`` inputs, or files on disk. Layout (little-endian)::
+A frame wraps one serialized sketch (any class
+:func:`~repro.estimators.registry.sketch_registry` accepts at its
+``"wire"`` scope: every serializable estimator and a whole
+:class:`~repro.engine.shards.ShardPool`) for transport between nodes —
+the EXPORT/MERGE_IN verbs of the serve protocol, ``repro agg`` inputs,
+or files on disk. Layout (little-endian)::
 
     4s  magic  b"RWF1"
     u8  version (1)
     u8  codec   (0 = raw, 1 = huffman, 2 = zrle; see WIRE_CODECS)
-    u16 class-name length | class name (ASCII, a wire-registry key)
-    u32 raw length    (len(to_bytes()) — decoded payload size)
+    u16 class-name length | class name (ASCII, a registry key)
+    u32 raw length    (len(to_bytes()) — decoded payload size, at most
+                       MAX_RAW_BYTES)
     u32 blob length   | blob (codec output, or the raw payload itself)
     u32 CRC32 of every preceding byte
 
 :func:`encode_sketch` tries the entropy codecs suited to the sketch's
-family — HBS-style Huffman for register arrays, zero-run-length coding
-for low-fill bitmap planes — and keeps the raw payload whenever
-compression does not win, so a frame never exceeds raw size plus the
-fixed header. :func:`decode_sketch` is strict: bad magic, version,
-codec, CRC, class name, length mismatch or trailing bytes all raise
-``ValueError``; the decoded payload is handed to the registered class's
-``from_bytes``, so a round-trip is bit-exact by construction.
+declared array family (:mod:`repro.estimators.state`) — HBS-style
+Huffman for register arrays, zero-run-length coding for low-fill bitmap
+planes — and keeps the raw payload whenever compression does not win,
+so a frame never exceeds raw size plus the fixed header.
+:func:`decode_sketch` is strict: bad magic, version, codec, CRC, class
+name, length mismatch or trailing bytes all raise ``ValueError``; the
+decoded payload is handed to the registered class's ``from_bytes``, so
+a round-trip is bit-exact by construction. A frame cannot make the
+decoder allocate more than :data:`MAX_RAW_BYTES`: the raw length is
+checked against it, and each codec must produce exactly that length,
+before anything is decoded.
 """
 
 from __future__ import annotations
@@ -30,8 +37,9 @@ import time
 import zlib
 from dataclasses import dataclass
 
-from repro.engine.shards import ShardPool, estimator_registry
 from repro.estimators.base import CardinalityEstimator
+from repro.estimators.registry import sketch_registry
+from repro.estimators.state import BITMAP, REGISTERS
 from repro.framing import require_consumed, take, unpack_header
 from repro.obs import get_registry
 from repro.obs.instrument import WIRE_CODECS, WireMetrics
@@ -42,14 +50,18 @@ __all__ = [
     "CODEC_RAW",
     "CODEC_ZRLE",
     "FrameInfo",
+    "MAX_RAW_BYTES",
     "decode_sketch",
     "encode_sketch",
     "frame_info",
-    "wire_registry",
 ]
 
 MAGIC = b"RWF1"
 VERSION = 1
+
+#: Largest payload a frame may carry, equal to the serve protocol's
+#: default max frame. Decoding checks it before allocating anything.
+MAX_RAW_BYTES = 16 * 1024 * 1024
 
 CODEC_RAW = 0
 CODEC_HUFFMAN = 1
@@ -63,38 +75,16 @@ _CODERS = {
 _HEAD = struct.Struct("<4sBBH")  # magic, version, codec, class-name length
 _U32 = struct.Struct("<I")
 
-#: Register-family sketches: dense arrays of small geometric ranks —
-#: Huffman is the natural fit, zero-RLE only wins while nearly empty.
-_REGISTER_FAMILY = frozenset({
-    "HyperLogLog",
-    "HyperLogLogPlusPlus",
-    "HyperLogLogTailCut",
-    "HyperLogLogTailCutPlus",
-    "LogLog",
-    "RefinedHyperLogLog",
-    "SuperLogLog",
-})
-
-#: Bitmap-family sketches: zero-dominated planes at realistic fills —
-#: zero-RLE first, Huffman still helps once the plane densifies.
-_BITMAP_FAMILY = frozenset({
-    "Bitmap",
-    "FMSketch",
-    "MultiResolutionBitmap",
-    "SelfMorphingBitmap",
-})
-
-
-def wire_registry() -> dict[str, type[CardinalityEstimator]]:
-    """Class-name → class map of everything a frame may carry.
-
-    The estimator registry plus :class:`~repro.engine.shards.ShardPool`
-    (a pool is itself a serializable, mergeable estimator, so shard
-    unions travel as one frame).
-    """
-    registry = estimator_registry()
-    registry[ShardPool.__name__] = ShardPool
-    return registry
+#: Codecs to try per declared array family. Register arrays hold small
+#: geometric ranks: Huffman is the natural fit, zero-RLE only wins while
+#: nearly empty. Bitmap planes are zero-dominated at realistic fills:
+#: zero-RLE first, Huffman still helps once the plane densifies. Other
+#: payloads (KMV's hash values, a ShardPool) try both.
+_FAMILY_CODECS: dict[str | None, tuple[int, ...]] = {
+    REGISTERS: (CODEC_HUFFMAN,),
+    BITMAP: (CODEC_ZRLE, CODEC_HUFFMAN),
+}
+_OTHER_CODECS = (CODEC_HUFFMAN, CODEC_ZRLE)
 
 
 @dataclass(frozen=True)
@@ -112,13 +102,9 @@ class FrameInfo:
         return self.raw_bytes / self.frame_bytes if self.frame_bytes else 0.0
 
 
-def _candidate_codecs(class_name: str) -> tuple[int, ...]:
-    if class_name in _REGISTER_FAMILY:
-        return (CODEC_HUFFMAN,)
-    if class_name in _BITMAP_FAMILY:
-        return (CODEC_ZRLE, CODEC_HUFFMAN)
-    # Composite or unknown-family payloads (ShardPool, KMV): try both.
-    return (CODEC_HUFFMAN, CODEC_ZRLE)
+def _candidate_codecs(sketch: CardinalityEstimator) -> tuple[int, ...]:
+    family = sketch.state.family if sketch.state is not None else None
+    return _FAMILY_CODECS.get(family, _OTHER_CODECS)
 
 
 def _metrics() -> WireMetrics | None:
@@ -149,16 +135,22 @@ def encode_sketch(
     the codec declines or does not win); by default the family-preferred
     entropy codecs compete against the raw payload and the smallest
     frame wins. Raises ``NotImplementedError`` for sketches without
-    serialization support and ``TypeError`` for classes outside the
-    wire registry.
+    serialization support, ``TypeError`` for classes the registry does
+    not accept in a frame, and ``ValueError`` for a payload over
+    :data:`MAX_RAW_BYTES`, which no decoder would accept.
     """
     started = time.perf_counter()
     class_name = type(sketch).__name__
-    if class_name not in wire_registry():
+    if class_name not in sketch_registry("wire"):
         raise TypeError(f"{class_name} is not wire-serializable")
     raw = sketch.to_bytes()
+    if len(raw) > MAX_RAW_BYTES:
+        raise ValueError(
+            f"{class_name} payload of {len(raw)} bytes exceeds the "
+            f"{MAX_RAW_BYTES}-byte frame limit"
+        )
     name_bytes = class_name.encode("ascii")
-    candidates = _candidate_codecs(class_name) if codec is None else (codec,)
+    candidates = _candidate_codecs(sketch) if codec is None else (codec,)
     best_codec = CODEC_RAW
     best_blob = raw
     for candidate in candidates:
@@ -191,6 +183,11 @@ def _parse(frame: bytes) -> tuple[str, int, int, bytes]:
     name_bytes, offset = take(frame, offset, name_len, "wire frame", "class name")
     blob_head, offset = take(frame, offset, 2 * _U32.size, "wire frame", "lengths")
     raw_len, blob_len = struct.unpack("<II", blob_head)
+    if raw_len > MAX_RAW_BYTES:
+        raise ValueError(
+            f"wire frame payload of {raw_len} bytes exceeds the "
+            f"{MAX_RAW_BYTES}-byte limit"
+        )
     blob, offset = take(frame, offset, blob_len, "wire frame", "blob")
     crc_bytes, offset = take(frame, offset, _U32.size, "wire frame", "checksum")
     require_consumed(frame, offset, "wire frame")
@@ -225,16 +222,19 @@ def decode_sketch(frame: bytes) -> CardinalityEstimator:
     metrics = _metrics()
     try:
         class_name, codec, raw_len, blob = _parse(frame)
-        registry = wire_registry()
-        if class_name not in registry:
+        cls = sketch_registry("wire").get(class_name)
+        if cls is None:
             raise ValueError(f"wire frame carries unknown class {class_name!r}")
-        raw = blob if codec == CODEC_RAW else _CODERS[codec][1](blob)
-        if len(raw) != raw_len:
+        if codec != CODEC_RAW:
+            raw = _CODERS[codec][1](blob, raw_len)
+        elif len(blob) == raw_len:
+            raw = blob
+        else:
             raise ValueError(
-                f"corrupt wire frame: decoded {len(raw)} bytes, "
+                f"corrupt wire frame: decoded {len(blob)} bytes, "
                 f"header promised {raw_len}"
             )
-        sketch = registry[class_name].from_bytes(raw)
+        sketch = cls.from_bytes(raw)
     except ValueError:
         if metrics is not None:
             metrics.decode_errors.inc()

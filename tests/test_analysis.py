@@ -473,42 +473,6 @@ class TestContract:
             (16, "contract.plane-mismatch")
         ]
 
-    def test_unregistered_serializable_flagged(self, tmp_path):
-        result = run_on(
-            tmp_path,
-            """\
-            class Registered(CardinalityEstimator):
-                name = "R"
-
-                def _record_u64(self, value):
-                    pass
-
-                def query(self):
-                    return 0.0
-
-                def memory_bits(self):
-                    return 0
-
-                def to_bytes(self):
-                    return b""
-
-                @classmethod
-                def from_bytes(cls, data):
-                    return cls()
-
-
-            class Forgotten(Registered):
-                name = "F"
-
-
-            def estimator_registry():
-                return {cls.__name__: cls for cls in (Registered,)}
-            """,
-        )
-        assert findings(result, "contract.unregistered") == [
-            (21, "contract.unregistered")
-        ]
-
     def test_unexported_estimator_flagged(self, tmp_path):
         (tmp_path / "repro" / "estimators").mkdir(parents=True)
         init = tmp_path / "repro" / "estimators" / "__init__.py"
@@ -536,274 +500,6 @@ class TestContract:
         assert findings(result, "contract.unexported") == [
             (1, "contract.unexported")
         ]
-
-
-# ----------------------------------------------------------------------
-# serialization
-# ----------------------------------------------------------------------
-class TestSerialization:
-    BAD = """\
-    import struct
-
-
-    class Leaky(CardinalityEstimator):
-        name = "Leaky"
-
-        def __init__(self, size, seed=0):
-            self.size = int(size)
-            self.seed = int(seed)
-            self.extra = 0
-
-        def _record_u64(self, value):
-            self.extra += 1
-
-        def query(self):
-            return float(self.extra)
-
-        def memory_bits(self):
-            return self.size
-
-        def to_bytes(self):
-            return struct.pack("<QQ", self.size, self.seed)
-
-        @classmethod
-        def from_bytes(cls, data):
-            size, seed = struct.unpack("<QQ", data)
-            return cls(size, seed=seed)
-    """
-
-    def test_missing_field_flagged_at_init_binding(self, tmp_path):
-        result = run_on(tmp_path, self.BAD)
-        assert findings(result, "serialization.missing-field") == [
-            (10, "serialization.missing-field")
-        ]
-
-    def test_covered_field_clean(self, tmp_path):
-        fixed = self.BAD.replace(
-            'struct.pack("<QQ", self.size, self.seed)',
-            'struct.pack("<QQQ", self.size, self.seed, self.extra)',
-        )
-        result = run_on(tmp_path, fixed)
-        assert not findings(result, "serialization.missing-field")
-
-    def test_coverage_through_helper_method(self, tmp_path):
-        result = run_on(
-            tmp_path,
-            """\
-            class ViaHelper:
-                def __init__(self, k):
-                    self.k = int(k)
-                    self._heap = []
-
-                def record(self, value):
-                    self._heap.append(value)
-
-                def values(self):
-                    return sorted(self._heap)
-
-                def to_bytes(self):
-                    return bytes([self.k, *self.values()])
-
-                @classmethod
-                def from_bytes(cls, data):
-                    return cls(data[0])
-            """,
-        )
-        assert not findings(result, "serialization.missing-field")
-
-    def test_derived_factory_state_exempt(self, tmp_path):
-        result = run_on(
-            tmp_path,
-            """\
-            class Derived:
-                def __init__(self, seed):
-                    self.seed = int(seed)
-                    self._hash = UniformHash(seed)
-                    self._threshold = int(self.seed * 2)
-
-                def to_bytes(self):
-                    return bytes([self.seed])
-
-                @classmethod
-                def from_bytes(cls, data):
-                    return cls(data[0])
-            """,
-        )
-        assert not findings(result, "serialization.missing-field")
-
-    def test_kernel_mutation_detected(self, tmp_path):
-        result = run_on(
-            tmp_path,
-            """\
-            class Registers:
-                def __init__(self, t):
-                    self.t = int(t)
-                    self._registers = make_array(t)
-
-                def _record_plane(self, plane):
-                    scatter_max(self._registers, plane.values, plane.values)
-
-                def to_bytes(self):
-                    return bytes([self.t])
-
-                @classmethod
-                def from_bytes(cls, data):
-                    return cls(data[0])
-            """,
-        )
-        assert findings(result, "serialization.missing-field") == [
-            (4, "serialization.missing-field")
-        ]
-
-
-# ----------------------------------------------------------------------
-# serialization.unchecked-tail
-# ----------------------------------------------------------------------
-class TestUncheckedTail:
-    RULE = "serialization.unchecked-tail"
-
-    def test_slicing_decoder_flagged(self, tmp_path):
-        result = run_on(
-            tmp_path,
-            """\
-            import struct
-
-
-            class Sliced:
-                def __init__(self, size):
-                    self.size = int(size)
-
-                def to_bytes(self):
-                    return struct.pack("<Q", self.size)
-
-                @classmethod
-                def from_bytes(cls, data):
-                    (size,) = struct.unpack("<Q", data[:8])
-                    return cls(size)
-            """,
-        )
-        assert findings(result, self.RULE) == [(12, self.RULE)]
-
-    def test_require_consumed_clean(self, tmp_path):
-        result = run_on(
-            tmp_path,
-            """\
-            import struct
-
-            from repro.framing import require_consumed
-
-
-            class Strict:
-                def __init__(self, size):
-                    self.size = int(size)
-
-                def to_bytes(self):
-                    return struct.pack("<Q", self.size)
-
-                @classmethod
-                def from_bytes(cls, data):
-                    (size,) = struct.unpack("<Q", data[:8])
-                    require_consumed(data, 8, "Strict")
-                    return cls(size)
-            """,
-        )
-        assert not findings(result, self.RULE)
-
-    def test_length_comparison_clean(self, tmp_path):
-        result = run_on(
-            tmp_path,
-            """\
-            import struct
-
-
-            class HandRolled:
-                def __init__(self, size):
-                    self.size = int(size)
-
-                def to_bytes(self):
-                    return struct.pack("<Q", self.size)
-
-                @classmethod
-                def from_bytes(cls, data):
-                    (size,) = struct.unpack("<Q", data[:8])
-                    if len(data) != 8:
-                        raise ValueError("trailing bytes")
-                    return cls(size)
-            """,
-        )
-        assert not findings(result, self.RULE)
-
-    def test_tail_delegation_clean(self, tmp_path):
-        result = run_on(
-            tmp_path,
-            """\
-            import struct
-
-
-            class Wrapper:
-                def __init__(self, inner):
-                    self.inner = inner
-
-                def to_bytes(self):
-                    return b"W" + self.inner.to_bytes()
-
-                @classmethod
-                def from_bytes(cls, data):
-                    return cls(Inner.from_bytes(data[1:]))
-            """,
-        )
-        assert not findings(result, self.RULE)
-
-    def test_whole_payload_unpack_clean(self, tmp_path):
-        """struct.unpack over the unsliced payload raises on any length
-        mismatch — it is an exact-consumption check by itself."""
-        result = run_on(
-            tmp_path,
-            """\
-            import struct
-
-
-            class Exact:
-                def __init__(self, size, seed):
-                    self.size = int(size)
-                    self.seed = int(seed)
-
-                def to_bytes(self):
-                    return struct.pack("<QQ", self.size, self.seed)
-
-                @classmethod
-                def from_bytes(cls, data):
-                    size, seed = struct.unpack("<QQ", data)
-                    return cls(size, seed)
-            """,
-        )
-        assert not findings(result, self.RULE)
-
-    def test_raising_stub_skipped(self, tmp_path):
-        result = run_on(
-            tmp_path,
-            """\
-            class NotSerializable:
-                @classmethod
-                def from_bytes(cls, data):
-                    "Exact counters are not checkpointable."
-                    raise NotImplementedError("not serializable")
-            """,
-        )
-        assert not findings(result, self.RULE)
-
-    def test_allow_comment_suppresses(self, tmp_path):
-        result = run_on(
-            tmp_path,
-            """\
-            class Legacy:
-                @classmethod
-                # analysis: allow(serialization.unchecked-tail) -- v0 blobs
-                def from_bytes(cls, data):
-                    return cls(data[:8])
-            """,
-        )
-        assert not findings(result, self.RULE)
 
 
 # ----------------------------------------------------------------------
@@ -980,7 +676,6 @@ class TestShippedTree:
             "determinism.",
             "dtype.",
             "contract.",
-            "serialization.",
             "guards.",
             "lockorder.",
             "asyncio.",

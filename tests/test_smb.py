@@ -37,6 +37,27 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SelfMorphingBitmap(100, threshold=51)  # > m/2
 
+    @pytest.mark.parametrize(
+        "m, threshold",
+        [(10_000, t) for t in range(1, 10)] + [(2**20, 1024)],
+    )
+    def test_too_many_rounds_is_a_value_error(self, m, threshold):
+        """Round i scales by 2^i·m; past float64's range __init__ used to
+        raise OverflowError from math.ldexp, which MERGE_IN answered as an
+        internal error rather than a bad payload."""
+        with pytest.raises(ValueError, match="largest supported m // T"):
+            SelfMorphingBitmap(m, threshold=threshold)
+
+    @given(data=st.data())
+    def test_constructor_domain(self, data):
+        """Every (m, T) with T in [1, m // 2] builds or raises ValueError."""
+        m = data.draw(st.integers(4, 2**20), label="m")
+        threshold = data.draw(st.integers(1, m // 2), label="threshold")
+        try:
+            SelfMorphingBitmap(m, threshold=threshold)
+        except ValueError:
+            pass
+
     def test_round_constants_prefix(self):
         s = round_constants(1000, 100)
         assert s[0] == 0.0

@@ -392,13 +392,13 @@ def check_wire_bars(snapshot: dict) -> list[str]:
 
 
 def _wire_zoo(memory_bits: int, stream_items: int) -> dict:
-    """Loaded instances of every wire-registry class at realistic fill."""
+    """Loaded instances of every wire-frameable class at realistic fill."""
     from repro.estimators import RefinedHyperLogLog
-    from repro.wire import wire_registry
+    from repro.estimators.registry import sketch_registry
 
     items = distinct_items(stream_items, seed=5)
     zoo = {}
-    for name, cls in sorted(wire_registry().items()):
+    for name, cls in sorted(sketch_registry("wire").items()):
         if cls is ShardPool:
             sketch = ShardPool.of("HLL", memory_bits, 4, seed=3)
         elif cls is RefinedHyperLogLog:
@@ -438,17 +438,19 @@ def bench_wire(memory_bits: int, stream_items: int) -> dict:
 
 def _write_wire_snapshot(out: Path) -> int:
     """Benchmark the compact wire format and write BENCH_wire.json."""
-    from repro.wire.frame import _REGISTER_FAMILY
+    from repro.estimators.registry import sketch_registry
+    from repro.estimators.state import REGISTERS
 
     scale = repro_scale(1.0)
     stream_items = max(4_000, int(20_000 * scale))
     memory_bits = 50_000
     sketches = bench_wire(memory_bits, stream_items)
 
+    states = {name: cls.state for name, cls in sketch_registry("wire").items()}
     ratios = {
         name: row["ratio"]
         for name, row in sketches.items()
-        if name in _REGISTER_FAMILY
+        if states[name] is not None and states[name].family == REGISTERS
     }
     snapshot = {
         "generated_by": "tools/bench_snapshot.py",
