@@ -1,8 +1,7 @@
 """AST-based invariant checkers for the estimator zoo, kernels and engine.
 
-``repro analyze src/repro`` (or ``python tools/analyze.py``) runs the
-domain-specific checkers that mechanically enforce the invariants the
-paper's claims depend on:
+``repro analyze src/repro`` runs the domain-specific checkers that
+mechanically enforce the invariants the paper's claims depend on:
 
 ==============  ======================================================
 checker          invariant
@@ -10,9 +9,7 @@ checker          invariant
 purity           plane paths stay vectorized (no per-item Python)
 determinism      randomness flows from explicit seeds, never globals
 dtype            hash planes keep uint64/declared dtypes, no implicit casts
-contract         estimator subclasses honour the library-wide contract
 guards           ``# guarded-by:`` fields stay under their declared lock
-lockorder        the acquires-while-holding graph stays acyclic
 asyncio          event-loop hygiene: no blocking calls, shielded gates,
                  no fire-and-forget tasks
 analysis         ``allow()`` ids name real rules (suppression audit)
@@ -33,19 +30,15 @@ from repro.analysis.core import (
     all_checkers,
     all_rules,
     analyze_paths,
-    load_baseline,
     register_checker,
-    write_baseline,
 )
 
 # Importing the checker modules registers them with the rule registry.
 from repro.analysis import (  # noqa: F401  (imported for side effects)
     aio,
-    contracts,
     determinism,
     dtypes,
     guards,
-    lockorder,
     purity,
 )
 
@@ -57,7 +50,5 @@ __all__ = [
     "all_checkers",
     "all_rules",
     "analyze_paths",
-    "load_baseline",
     "register_checker",
-    "write_baseline",
 ]

@@ -34,13 +34,12 @@ executor threads, where blocking is the point).
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.analysis.core import (
     Checker,
     Diagnostic,
     ModuleInfo,
-    ProjectModel,
     Rule,
     dotted_name,
     register_checker,
@@ -143,9 +142,7 @@ class AsyncioHygieneChecker(Checker):
     # ------------------------------------------------------------------
     # Per-module rules
     # ------------------------------------------------------------------
-    def check_module(
-        self, module: ModuleInfo, project: ProjectModel
-    ) -> Iterator[Diagnostic]:
+    def check_module(self, module: ModuleInfo) -> Iterator[Diagnostic]:
         for node in ast.walk(module.tree):
             if isinstance(node, ast.AsyncFunctionDef):
                 yield from self._check_blocking(module, node)
@@ -192,9 +189,11 @@ class AsyncioHygieneChecker(Checker):
     # ------------------------------------------------------------------
     # Project-wide rule: unshielded gate-holding awaits
     # ------------------------------------------------------------------
-    def check_project(self, project: ProjectModel) -> Iterator[Diagnostic]:
+    def check_project(
+        self, modules: Sequence[ModuleInfo]
+    ) -> Iterator[Diagnostic]:
         holders: set[str] = set()
-        for module in project.modules:
+        for module in modules:
             for node in ast.walk(module.tree):
                 if not isinstance(node, ast.AsyncFunctionDef):
                     continue
@@ -207,7 +206,7 @@ class AsyncioHygieneChecker(Checker):
                         break
         if not holders:
             return
-        for module in project.modules:
+        for module in modules:
             for node in ast.walk(module.tree):
                 if not isinstance(node, ast.AsyncFunctionDef):
                     continue

@@ -1,12 +1,11 @@
-"""Static-analysis framework: rules, diagnostics, suppression, baseline.
+"""Static-analysis framework: rules, diagnostics, inline suppression.
 
 The paper's O(1)-query and reproducible-accuracy claims survive only as
 long as the implementation keeps a handful of mechanical invariants:
 hash-plane code stays vectorized (no per-item Python), randomness flows
 from explicit seeds, hash planes keep their ``uint64`` dtype discipline,
-every estimator honours the :class:`~repro.estimators.base.CardinalityEstimator`
-contract, and serialized state round-trips completely. This package
-enforces those invariants by walking the AST of every source file —
+and shared state stays under its declared lock. This package enforces
+those invariants by walking the AST of every source file —
 ``repro analyze src/repro`` is the gating entry point.
 
 Architecture
@@ -18,18 +17,13 @@ Architecture
   a concrete message;
 - :class:`Checker` — base class; subclasses implement
   :meth:`Checker.check_module` (per-file AST walks) and/or
-  :meth:`Checker.check_project` (cross-file invariants over the
-  :class:`ProjectModel`);
-- :class:`ProjectModel` — the parsed view of every analyzed module:
-  the class graph (with ``CardinalityEstimator`` subclass resolution)
-  and ``__all__`` exports, shared by the contract checkers;
+  :meth:`Checker.check_project` (cross-file invariants over every
+  analyzed module). A cross-file rule sees only the files it is given,
+  so the gate analyzes the whole tree;
 - suppression — inline ``# analysis: allow(purity.loop) -- reason``
-  comments on (or directly above) the flagged line, plus a checked-in
-  JSON baseline for findings that cannot carry an inline comment. The
-  shipped baseline is empty for ``src/repro``: real findings get fixed,
-  not baselined. Allow ids are themselves audited
-  (``analysis.unknown-allow``) and baseline entries that suppress
-  nothing are reported as stale.
+  comments on (or directly above) the flagged line. There is no
+  baseline: real findings get fixed, or carry an allow with its reason.
+  Allow ids are themselves audited (``analysis.unknown-allow``).
 
 Checkers register themselves via :func:`register_checker`; importing
 :mod:`repro.analysis` loads the standard suite.
@@ -38,28 +32,23 @@ Checkers register themselves via :func:`register_checker`; importing
 from __future__ import annotations
 
 import ast
-import json
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 __all__ = [
     "AnalysisResult",
     "Checker",
-    "ClassInfo",
     "Diagnostic",
     "ModuleInfo",
-    "ProjectModel",
     "Rule",
     "all_checkers",
     "all_rules",
     "analyze_paths",
     "dotted_name",
-    "load_baseline",
     "register_checker",
-    "write_baseline",
 ]
 
 #: Inline suppression:  ``# analysis: allow(purity.loop) -- chunk loop``.
@@ -93,7 +82,7 @@ class Diagnostic:
         return f"{self.path}:{self.line}:{self.col}: {self.rule}: {self.message}"
 
     def to_json(self) -> dict[str, object]:
-        """All fields as a JSON-serializable dict (``--format json``)."""
+        """All fields as a JSON-serializable dict."""
         return {
             "path": self.path,
             "line": self.line,
@@ -150,48 +139,6 @@ class ModuleInfo:
         return allowed
 
 
-@dataclass
-class ClassInfo:
-    """A class definition plus the links the cross-file checkers need."""
-
-    name: str
-    module: ModuleInfo
-    node: ast.ClassDef
-    bases: list[str]  # unqualified base-class names
-    methods: dict[str, ast.FunctionDef] = field(default_factory=dict)
-    class_attrs: set[str] = field(default_factory=set)
-    is_abstract: bool = False
-    parents: list["ClassInfo"] = field(default_factory=list)
-
-    def mro_methods(self) -> dict[str, ast.FunctionDef]:
-        """Methods visible on this class through the resolved parents."""
-        resolved: dict[str, ast.FunctionDef] = {}
-        for parent in reversed(self._linearized()):
-            resolved.update(parent.methods)
-        return resolved
-
-    def mro_class_attrs(self) -> set[str]:
-        """Class-level attribute names across the resolved ancestry."""
-        attrs: set[str] = set()
-        for parent in self._linearized():
-            attrs.update(parent.class_attrs)
-        return attrs
-
-    def _linearized(self) -> list["ClassInfo"]:
-        """This class then its ancestors, deduplicated, child-first."""
-        seen: dict[int, ClassInfo] = {}
-        stack: list[ClassInfo] = [self]
-        order: list[ClassInfo] = []
-        while stack:
-            info = stack.pop(0)
-            if id(info) in seen:
-                continue
-            seen[id(info)] = info
-            order.append(info)
-            stack.extend(info.parents)
-        return order
-
-
 def dotted_name(node: ast.AST) -> str:
     """Render ``a.b.c`` attribute/name chains; empty string otherwise."""
     parts: list[str] = []
@@ -202,123 +149,6 @@ def dotted_name(node: ast.AST) -> str:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return ""
-
-
-def _is_abstract(node: ast.ClassDef) -> bool:
-    for base in node.bases:
-        if dotted_name(base).split(".")[-1] in ("ABC", "ABCMeta"):
-            return True
-    for item in node.body:
-        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for decorator in item.decorator_list:
-                if dotted_name(decorator).endswith("abstractmethod"):
-                    return True
-    return False
-
-
-class ProjectModel:
-    """Cross-file view of all analyzed modules.
-
-    Builds the class graph once; checkers that need inheritance
-    resolution (contracts) query it instead of re-walking every tree.
-    """
-
-    #: Root of the estimator class hierarchy.
-    ESTIMATOR_BASE = "CardinalityEstimator"
-
-    def __init__(self, modules: Sequence[ModuleInfo]) -> None:
-        self.modules = list(modules)
-        self.classes: list[ClassInfo] = []
-        self._by_name: dict[str, list[ClassInfo]] = {}
-        #: ``__all__`` entries per module relpath.
-        self.exports: dict[str, set[str]] = {}
-        for module in self.modules:
-            self._index_module(module)
-        self._link_parents()
-
-    # ------------------------------------------------------------------
-    # Indexing
-    # ------------------------------------------------------------------
-    def _index_module(self, module: ModuleInfo) -> None:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ClassDef):
-                self._index_class(module, node)
-        for node in module.tree.body:
-            if (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and node.targets[0].id == "__all__"
-                and isinstance(node.value, (ast.List, ast.Tuple))
-            ):
-                self.exports[module.relpath] = {
-                    element.value
-                    for element in node.value.elts
-                    if isinstance(element, ast.Constant)
-                    and isinstance(element.value, str)
-                }
-
-    def _index_class(self, module: ModuleInfo, node: ast.ClassDef) -> None:
-        info = ClassInfo(
-            name=node.name,
-            module=module,
-            node=node,
-            bases=[
-                dotted_name(base).split(".")[-1]
-                for base in node.bases
-                if dotted_name(base)
-            ],
-            is_abstract=_is_abstract(node),
-        )
-        for item in node.body:
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if isinstance(item, ast.FunctionDef):
-                    info.methods.setdefault(item.name, item)
-            elif isinstance(item, ast.Assign):
-                for target in item.targets:
-                    if isinstance(target, ast.Name):
-                        info.class_attrs.add(target.id)
-            elif isinstance(item, ast.AnnAssign) and isinstance(
-                item.target, ast.Name
-            ):
-                info.class_attrs.add(item.target.id)
-        self.classes.append(info)
-        self._by_name.setdefault(info.name, []).append(info)
-
-    def _link_parents(self) -> None:
-        for info in self.classes:
-            for base in info.bases:
-                info.parents.extend(self._by_name.get(base, ()))
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def find_classes(self, name: str) -> list[ClassInfo]:
-        """Every analyzed class with this name (may span files)."""
-        return list(self._by_name.get(name, ()))
-
-    def estimator_classes(self) -> list[ClassInfo]:
-        """Every class that (transitively) subclasses the estimator base."""
-        return [
-            info
-            for info in self.classes
-            if info.name != self.ESTIMATOR_BASE
-            and self._descends_from(info, self.ESTIMATOR_BASE)
-        ]
-
-    def _descends_from(self, info: ClassInfo, base_name: str) -> bool:
-        seen: set[int] = set()
-        stack = list(info.parents)
-        names = set(info.bases)
-        while stack:
-            parent = stack.pop()
-            if id(parent) in seen:
-                continue
-            seen.add(id(parent))
-            names.add(parent.name)
-            names.update(parent.bases)
-            stack.extend(parent.parents)
-        return base_name in names
 
 
 # ----------------------------------------------------------------------
@@ -332,14 +162,14 @@ class Checker:
     #: The rules this checker can emit.
     rules: tuple[Rule, ...] = ()
 
-    def check_module(
-        self, module: ModuleInfo, project: ProjectModel
-    ) -> Iterator[Diagnostic]:
+    def check_module(self, module: ModuleInfo) -> Iterator[Diagnostic]:
         """Per-file findings (default: none)."""
         return iter(())
 
-    def check_project(self, project: ProjectModel) -> Iterator[Diagnostic]:
-        """Cross-file findings (default: none)."""
+    def check_project(
+        self, modules: Sequence[ModuleInfo]
+    ) -> Iterator[Diagnostic]:
+        """Cross-file findings over every analyzed module (default: none)."""
         return iter(())
 
     def rule(self, rule_id: str) -> Rule:
@@ -379,16 +209,9 @@ def register_checker(factory: type[Checker]) -> type[Checker]:
     return factory
 
 
-def all_checkers(names: Iterable[str] | None = None) -> list[Checker]:
-    """Instantiate the registered checkers (optionally a subset)."""
-    selected = list(_CHECKERS) if names is None else list(names)
-    unknown = [name for name in selected if name not in _CHECKERS]
-    if unknown:
-        raise KeyError(
-            f"unknown checker(s) {', '.join(sorted(unknown))}; "
-            f"available: {', '.join(sorted(_CHECKERS))}"
-        )
-    return [_CHECKERS[name]() for name in selected]
+def all_checkers() -> list[Checker]:
+    """Instantiate every registered checker."""
+    return [factory() for factory in _CHECKERS.values()]
 
 
 def all_rules() -> list[Rule]:
@@ -418,9 +241,7 @@ class AllowAuditChecker(Checker):
         ),
     )
 
-    def check_module(
-        self, module: ModuleInfo, project: ProjectModel
-    ) -> Iterator[Diagnostic]:
+    def check_module(self, module: ModuleInfo) -> Iterator[Diagnostic]:
         known_ids = {
             rule.id for checker in all_checkers() for rule in checker.rules
         }
@@ -449,50 +270,6 @@ class AllowAuditChecker(Checker):
 
 
 # ----------------------------------------------------------------------
-# Baseline
-# ----------------------------------------------------------------------
-def load_baseline(path: str | os.PathLike) -> dict[tuple[str, str], int]:
-    """Load a baseline file → ``{(path, rule): allowed_count}``.
-
-    The baseline suppresses up to ``count`` findings of a rule in a
-    file — insensitive to line drift, so refactors don't invalidate it.
-    A missing file is an empty baseline.
-    """
-    try:
-        with open(os.fspath(path), "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except FileNotFoundError:
-        return {}
-    if not isinstance(payload, dict) or payload.get("version") != 1:
-        raise ValueError(f"unsupported baseline format in {path}")
-    allowed: dict[tuple[str, str], int] = {}
-    for entry in payload.get("suppressions", []):
-        key = (str(entry["path"]), str(entry["rule"]))
-        allowed[key] = allowed.get(key, 0) + int(entry.get("count", 1))
-    return allowed
-
-
-def write_baseline(
-    path: str | os.PathLike, diagnostics: Sequence[Diagnostic]
-) -> None:
-    """Write the current findings as a baseline file."""
-    counts: dict[tuple[str, str], int] = {}
-    for diag in diagnostics:
-        key = (diag.path, diag.rule)
-        counts[key] = counts.get(key, 0) + 1
-    payload = {
-        "version": 1,
-        "suppressions": [
-            {"path": file_path, "rule": rule, "count": count}
-            for (file_path, rule), count in sorted(counts.items())
-        ],
-    }
-    with open(os.fspath(path), "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-
-
-# ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
 @dataclass
@@ -502,10 +279,6 @@ class AnalysisResult:
     diagnostics: list[Diagnostic]
     files_scanned: int
     suppressed_inline: int
-    suppressed_baseline: int
-    #: Baseline entries that suppressed nothing this run — stale budget
-    #: (the finding was fixed, or the entry was written with count 0).
-    stale_baseline: list[tuple[str, str]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -545,10 +318,8 @@ def _relpath(path: Path, root: Path) -> str:
 def analyze_paths(
     paths: Sequence[str | os.PathLike],
     root: str | os.PathLike | None = None,
-    checkers: Sequence[str] | None = None,
-    baseline: str | os.PathLike | None = None,
 ) -> AnalysisResult:
-    """Run the checker suite over ``paths`` and apply suppressions.
+    """Run the checker suite over ``paths`` and apply inline allows.
 
     Parameters
     ----------
@@ -557,24 +328,19 @@ def analyze_paths(
     root:
         Paths in diagnostics are reported relative to this directory
         (default: the current working directory).
-    checkers:
-        Subset of checker names to run (default: all registered).
-    baseline:
-        Optional baseline file of accepted findings.
     """
     root_path = Path(root if root is not None else os.getcwd()).resolve()
     modules = []
     for file_path in _collect_files(paths):
         source = file_path.read_text(encoding="utf-8")
         modules.append(ModuleInfo(file_path, _relpath(file_path, root_path), source))
-    project = ProjectModel(modules)
     module_by_path = {module.relpath: module for module in modules}
 
     raw: list[Diagnostic] = []
-    for checker in all_checkers(checkers):
+    for checker in all_checkers():
         for module in modules:
-            raw.extend(checker.check_module(module, project))
-        raw.extend(checker.check_project(project))
+            raw.extend(checker.check_module(module))
+        raw.extend(checker.check_project(modules))
     raw.sort(key=lambda diag: (diag.path, diag.line, diag.col, diag.rule))
 
     survivors: list[Diagnostic] = []
@@ -589,30 +355,8 @@ def analyze_paths(
                 continue
         survivors.append(diag)
 
-    suppressed_baseline = 0
-    stale_baseline: list[tuple[str, str]] = []
-    if baseline is not None:
-        budget = load_baseline(baseline)
-        loaded = dict(budget)
-        remaining: list[Diagnostic] = []
-        for diag in survivors:
-            key = (diag.path, diag.rule)
-            if budget.get(key, 0) > 0:
-                budget[key] -= 1
-                suppressed_baseline += 1
-            else:
-                remaining.append(diag)
-        survivors = remaining
-        stale_baseline = sorted(
-            key
-            for key, count in loaded.items()
-            if count == budget.get(key, 0)
-        )
-
     return AnalysisResult(
         diagnostics=survivors,
         files_scanned=len(modules),
         suppressed_inline=suppressed_inline,
-        suppressed_baseline=suppressed_baseline,
-        stale_baseline=stale_baseline,
     )

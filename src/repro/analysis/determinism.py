@@ -42,7 +42,6 @@ from repro.analysis.core import (
     Checker,
     Diagnostic,
     ModuleInfo,
-    ProjectModel,
     Rule,
     dotted_name,
     register_checker,
@@ -129,9 +128,7 @@ class DeterminismChecker(Checker):
         ),
     )
 
-    def check_module(
-        self, module: ModuleInfo, project: ProjectModel
-    ) -> Iterator[Diagnostic]:
+    def check_module(self, module: ModuleInfo) -> Iterator[Diagnostic]:
         random_aliases = self._random_aliases(module)
         for node in ast.walk(module.tree):
             if isinstance(node, (ast.Attribute, ast.Name)):

@@ -37,7 +37,6 @@ from repro.analysis.core import (
     Checker,
     Diagnostic,
     ModuleInfo,
-    ProjectModel,
     Rule,
     dotted_name,
     register_checker,
@@ -90,9 +89,7 @@ class DtypeChecker(Checker):
         ),
     )
 
-    def check_module(
-        self, module: ModuleInfo, project: ProjectModel
-    ) -> Iterator[Diagnostic]:
+    def check_module(self, module: ModuleInfo) -> Iterator[Diagnostic]:
         seen: set[int] = set()
         for root in _critical_roots(module):
             for node in ast.walk(root):

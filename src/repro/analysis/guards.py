@@ -6,10 +6,10 @@ locks. The association between a field and its lock lives only in the
 author's head — until it is written down. A structured comment on the
 field's ``__init__`` assignment declares it::
 
-    self._records_applied = 0  # guarded-by: _count_lock
+    self._records_applied = 0  # guarded-by: _lock
 
 From then on every read or write of ``self._records_applied`` in the
-owning class must happen inside a ``with self._count_lock:`` (or
+owning class must happen inside a ``with self._lock:`` (or
 ``async with``) body, in the same function — nested ``def``/``lambda``
 bodies do not inherit the held set, because closures outlive the
 critical section that created them. ``__init__`` itself is exempt
@@ -38,7 +38,6 @@ from repro.analysis.core import (
     Checker,
     Diagnostic,
     ModuleInfo,
-    ProjectModel,
     Rule,
     dotted_name,
     register_checker,
@@ -195,9 +194,7 @@ class GuardedByChecker(Checker):
         ),
     )
 
-    def check_module(
-        self, module: ModuleInfo, project: ProjectModel
-    ) -> Iterator[Diagnostic]:
+    def check_module(self, module: ModuleInfo) -> Iterator[Diagnostic]:
         for node in ast.walk(module.tree):
             if isinstance(node, ast.ClassDef):
                 yield from self._check_class(module, node)

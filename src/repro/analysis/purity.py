@@ -47,7 +47,6 @@ from repro.analysis.core import (
     Checker,
     Diagnostic,
     ModuleInfo,
-    ProjectModel,
     Rule,
     dotted_name,
     register_checker,
@@ -136,9 +135,7 @@ class PurityChecker(Checker):
         ),
     )
 
-    def check_module(
-        self, module: ModuleInfo, project: ProjectModel
-    ) -> Iterator[Diagnostic]:
+    def check_module(self, module: ModuleInfo) -> Iterator[Diagnostic]:
         for function in _hot_functions(module):
             yield from self._check_function(module, function)
 

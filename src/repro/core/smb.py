@@ -280,9 +280,9 @@ class SelfMorphingBitmap(CardinalityEstimator):
         expected = 2.0 * need * (self.m / zeros)
         return max(1024, min(BATCH_CHUNK, int(expected)))
 
-    # analysis: allow(contract.plane-mismatch) -- positions deliberately
-    # unrequested: only Step-1 survivors get position-hashed (see
-    # plane_requests docstring); prefetching would hash every arrival.
+    # Positions are deliberately unrequested: only Step-1 survivors get
+    # position-hashed (see plane_requests docstring); prefetching would
+    # hash every arrival.
     def _record_plane(self, plane: HashPlane) -> None:
         size = plane.size
         values = plane.values

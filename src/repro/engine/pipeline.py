@@ -11,26 +11,34 @@ once, and a drained pipeline holds *bit-for-bit* the same state as
 synchronous ``pool.record_many`` over the same stream (asserted by the
 stateful engine test).
 
-**One apply lock.** The shards are applied under one per-pipeline
-lock, taken once per chunk; hashing and splitting run outside it. The
-lock is what makes :meth:`IngestPipeline.submit` safe to call from any
-number of threads concurrently — in particular from an executor pool
-driven by an ``asyncio`` event loop (``loop.run_in_executor``), which
-is how the serving layer (:mod:`repro.serve`) feeds the pipeline. The
-pipeline starts no threads of its own. Within-shard arrival order
-across producers is whatever order their chunks take the lock in —
-estimator state is order-insensitive for a fixed key *set*, and
-per-producer FIFO still holds, which is what the serving layer's
-per-connection semantics need.
+**One lock.** Every counter, the lifecycle state and every shard write
+sit under one per-pipeline condition, taken once per chunk to bill,
+apply and count it; canonicalizing, hashing, prefetching and splitting
+run outside it, and so does a checkpoint's save. The lock is what makes
+:meth:`IngestPipeline.submit` safe to call from any number of threads
+concurrently — in particular from an executor pool driven by an
+``asyncio`` event loop (``loop.run_in_executor``), which is how the
+serving layer (:mod:`repro.serve`) feeds the pipeline. The pipeline
+starts no threads of its own. Within-shard arrival order across
+producers is whatever order their chunks take the lock in — estimator
+state is order-insensitive for a fixed key *set*, and per-producer FIFO
+still holds, which is what the serving layer's per-connection semantics
+need.
 
-**Quiescing.** :meth:`checkpoint_now` parks new submits at an entry
-gate and waits out in-flight ones before saving, so a checkpoint can
-never capture a half-applied chunk from a concurrent producer.
-:meth:`drain` is a barrier on the apply lock; :meth:`close` refuses new
-submits, waits out in-flight ones and re-raises a latched failure.
-Submit-vs-close is deterministic: a submit racing a close either
-completes before the close returns or raises ``RuntimeError``. The
-pipeline is a context manager::
+**Quiescing.** A checkpoint counts itself in a pause count. While that
+count is non-zero, new submits park at an entry gate, and the
+checkpoint waits out in-flight ones before it saves, so it can never
+capture a half-applied chunk from a concurrent producer. The periodic
+trigger is decided under the lock and skipped while another checkpoint
+is pending, so two producers crossing the threshold together never wait
+for each other. :meth:`drain` is a barrier on the lock; :meth:`close`
+refuses new submits, waits out in-flight ones and re-raises a latched
+failure. Submit-vs-close is deterministic: a submit racing a close
+either completes before the close returns or raises ``RuntimeError``.
+The serving layer builds its pipelines without a checkpoint manager
+(it checkpoints its tenant registry behind its own ingest gate), so
+only the engine CLI runs the checkpoint path here. The pipeline is a
+context manager::
 
     with IngestPipeline(pool) as pipe:
         for batch in batches:
@@ -86,7 +94,7 @@ if TYPE_CHECKING:  # import cycle guard: recovery imports checkpoint
 
 #: Default chunk size of the submit path — same order as SMB's dedup
 #: window (``repro.core.smb.BATCH_CHUNK``), large enough to amortize
-#: vectorized hashing, small enough to bound one hold of the apply lock.
+#: vectorized hashing, small enough to bound one hold of the lock.
 DEFAULT_CHUNK = 8192
 
 
@@ -130,40 +138,30 @@ class IngestPipeline:
             )
         self.pool = pool
         self.chunk_size = int(chunk_size)
-        self.records_submitted = 0  # guarded-by: _count_lock
-        self.records_applied = 0  # guarded-by: _count_lock
-        self.records_dropped = 0  # guarded-by: _count_lock
         self.checkpoint_manager = checkpoint_manager
         self.checkpoint_every = int(checkpoint_every)
         #: Optional ``() -> dict`` hook merged into every periodic
         #: checkpoint's metadata (e.g. an absolute stream offset).
         self.checkpoint_meta: Callable[[], dict[str, Any]] | None = None
-        self._records_since_checkpoint = 0  # guarded-by: _count_lock
-        # One lock for every counter: submitted / applied / dropped /
-        # since-checkpoint / the pool's routing-hash ops. Producers may
-        # be an executor pool, so unsynchronized += would lose updates.
-        # Cost is one uncontended acquire per chunk, never per item.
-        self._count_lock = threading.Lock()
-        # Serializes every write to the pool's shards; taken once per
-        # chunk. Never held across a checkpoint (which waits for other
-        # producers to finish their chunks).
-        self._apply_lock = threading.Lock()
-        # Apply failures latch here (appended under _apply_lock; read
+        # One condition for all shared state and every shard write;
+        # a chunk takes it once. Producers may be an executor pool, so
+        # unsynchronized += would lose updates. The pool's routing-hash
+        # ops are billed under it too.
+        self._lock = threading.Condition(threading.Lock())
+        self.records_submitted = 0  # guarded-by: _lock
+        self.records_applied = 0  # guarded-by: _lock
+        self.records_dropped = 0  # guarded-by: _lock
+        self._records_since_checkpoint = 0  # guarded-by: _lock
+        # Submits register in _active_submits so close() and a
+        # checkpoint can wait them out. _paused counts pending
+        # checkpoints: while it is non-zero, new submits park at the
+        # gate instead of starting. _closed flips once.
+        self._active_submits = 0  # guarded-by: _lock
+        self._paused = 0  # guarded-by: _lock
+        self._closed = False  # guarded-by: _lock
+        # Apply failures latch here (appended under _lock; read
         # lock-free by the fast-fail checks).
         self._errors: list[BaseException] = []
-        # Lifecycle state: _closed flips once, under _lifecycle; submits
-        # register in _active_submits so close() and a checkpoint can
-        # wait them out. _paused counts outstanding quiesce requests
-        # (checkpoint_now): while it is non-zero, new submits park at
-        # the gate instead of starting.
-        self._lifecycle = threading.Condition()
-        self._active_submits = 0  # guarded-by: _lifecycle
-        self._paused = 0  # guarded-by: _lifecycle
-        self._closed = False  # guarded-by: _lifecycle
-        # Serializes checkpoint writers; the periodic trigger inside
-        # submit try-acquires it so two producers crossing the threshold
-        # together cannot deadlock waiting for each other to quiesce.
-        self._checkpoint_mutex = threading.Lock()
         registry = get_registry()
         self._obs: "PipelineMetrics | None" = None
         #: Per-shard estimate/skew gauges (None when obs disabled);
@@ -181,116 +179,114 @@ class IngestPipeline:
         Raises ``RuntimeError`` if the pipeline is closed or an earlier
         apply has failed — the failure check runs before *every* chunk.
         The submit whose apply fails re-raises the shard's own error at
-        once (see :meth:`_apply`). A chunk is billed
-        (:attr:`records_submitted`, the pool's routing hash ops) once it
-        has been split, before any of it is applied, so a failure
-        mid-chunk leaves ``records_submitted == records_applied +
-        records_dropped`` and routing ops equal to submitted records.
+        once (see :meth:`_apply`).
 
         Submit-vs-close is deterministic: a submit that starts after
         :meth:`close` was called raises immediately; a submit already
-        in flight is waited for by ``close``. While a
-        :meth:`checkpoint_now` is quiescing, new submits park at the
-        entry gate and resume once the generation is written — callers
-        observe extra latency, not an error. Safe to call from many
-        threads at once (an ``asyncio`` ``run_in_executor`` pool
-        included).
+        in flight is waited for by ``close``. While a checkpoint is
+        pending, new submits park at the entry gate and resume once the
+        generation is written — callers observe extra latency, not an
+        error. Safe to call from many threads at once (an ``asyncio``
+        ``run_in_executor`` pool included).
         """
-        with self._lifecycle:
+        with self._lock:
             while self._paused and not self._closed:
-                self._lifecycle.wait()
+                self._lock.wait()
             if self._closed:
                 raise RuntimeError("cannot submit to a closed pipeline")
             self._active_submits += 1
         try:
             return self._submit_registered(items)
         finally:
-            with self._lifecycle:
+            with self._lock:
                 self._active_submits -= 1
-                self._lifecycle.notify_all()
+                self._lock.notify_all()
 
     def _submit_registered(self, items: Iterable[object] | np.ndarray) -> int:
         """The body of :meth:`submit`, after lifecycle registration."""
         self._raise_pending()
         values = canonical_u64_array(items)
         requests = self.pool.plane_requests()
-        obs = self._obs
         for start in range(0, values.size, self.chunk_size):
             self._raise_pending()  # fast-fail between chunks
             plane = HashPlane(values[start:start + self.chunk_size])
             plane.prefetch(requests)
             parts = self.pool.partitioner.split_plane(plane)
-            # Same routing-hash accounting as ShardPool._record_plane
-            # (the pipeline partitions directly, bypassing that method).
-            checkpoint_due = False
-            with self._count_lock:
-                if self.pool.num_shards > 1:
-                    self.pool._route_hash_ops += plane.size
-                self.records_submitted += plane.size
-                if self.checkpoint_every:
-                    self._records_since_checkpoint += plane.size
-                    checkpoint_due = (
-                        self._records_since_checkpoint
-                        >= self.checkpoint_every
-                    )
-            if obs is not None:
-                obs.submitted.inc(plane.size)
-            with self._apply_lock:
-                self._apply(parts)
-            if checkpoint_due:
-                # Try-acquire: when several producers cross the
-                # threshold together exactly one writes the generation
-                # (it quiesces the others); the losers skip and the
-                # still-high since-checkpoint counter re-triggers on
-                # the winner's next chunk if the threshold is crossed
-                # again.
-                if self._checkpoint_mutex.acquire(blocking=False):
-                    try:
-                        self._checkpoint_quiesced(None, active_allowance=1)
-                    finally:
-                        self._checkpoint_mutex.release()
+            if self._apply(plane.size, parts):
+                # __init__ refuses checkpoint_every without a manager.
+                assert self.checkpoint_manager is not None
+                self._checkpoint_paused(
+                    self.checkpoint_manager, None, active_allowance=1
+                )
         return int(values.size)
 
-    def _apply(self, parts: list[HashPlane]) -> None:
-        """Apply one chunk's sub-planes to their shards, in shard order.
+    def _apply(self, size: int, parts: list[HashPlane]) -> bool:
+        """Bill, apply and count one chunk under one hold of the lock.
 
-        The caller holds :attr:`_apply_lock`. A shard that raises
-        latches its error, which is re-raised; that sub-plane (it may be
-        partially applied, so its shard state is suspect) and the rest
-        of the chunk count as dropped instead of applied. So does the
-        whole chunk when another producer's failure has latched.
+        The chunk is billed (:attr:`records_submitted`, the pool's
+        routing hash ops) before any of it is applied, so a failure
+        mid-chunk leaves ``records_submitted == records_applied +
+        records_dropped`` and routing ops equal to submitted records.
+        A shard that raises latches its error, which is re-raised; that
+        sub-plane (it may be partially applied, so its shard state is
+        suspect) and the rest of the chunk count as dropped instead of
+        applied. So does the whole chunk when another producer's
+        failure has latched.
+
+        Returns whether a periodic checkpoint is due. If so, it is
+        already counted in :attr:`_paused` and the caller must run it.
         """
         obs = self._obs
+        if obs is not None:
+            obs.submitted.inc(size)
         applied = applied_parts = 0
-        try:
-            self._raise_pending()
-            for shard_index, part in enumerate(parts):
-                if not part.size:
-                    continue
-                began = time.perf_counter() if obs is not None else 0.0
-                try:
-                    fire("pipeline.worker-apply")
-                    self.pool.shards[shard_index]._record_plane(part)
-                except BaseException as error:
-                    self._errors.append(error)
-                    raise
-                finally:
-                    if obs is not None:
-                        obs.apply_latency[shard_index].observe(
-                            time.perf_counter() - began
-                        )
-                applied += part.size
-                applied_parts += 1
-        finally:
-            dropped = sum(part.size for part in parts) - applied
-            with self._count_lock:
+        with self._lock:
+            # Same routing-hash accounting as ShardPool._record_plane
+            # (the pipeline partitions directly, bypassing that method).
+            if self.pool.num_shards > 1:
+                self.pool._route_hash_ops += size
+            self.records_submitted += size
+            try:
+                self._raise_pending()
+                for shard_index, part in enumerate(parts):
+                    if not part.size:
+                        continue
+                    began = time.perf_counter() if obs is not None else 0.0
+                    try:
+                        fire("pipeline.worker-apply")
+                        self.pool.shards[shard_index]._record_plane(part)
+                    except BaseException as error:
+                        self._errors.append(error)
+                        raise
+                    finally:
+                        if obs is not None:
+                            obs.apply_latency[shard_index].observe(
+                                time.perf_counter() - began
+                            )
+                    applied += part.size
+                    applied_parts += 1
+            finally:
+                dropped = size - applied
                 self.records_applied += applied
                 self.records_dropped += dropped
-            if obs is not None and dropped:
-                obs.dropped.inc(dropped)
-                obs.batches_dropped.inc(
-                    sum(1 for part in parts if part.size) - applied_parts
-                )
+                if obs is not None and dropped:
+                    obs.dropped.inc(dropped)
+                    obs.batches_dropped.inc(
+                        sum(1 for part in parts if part.size) - applied_parts
+                    )
+            if not self.checkpoint_every:
+                return False
+            self._records_since_checkpoint += size
+            # Skipped while any checkpoint is pending: a periodic one
+            # waits for the other producers to finish, so two at once
+            # would wait on each other forever.
+            if (
+                self._paused
+                or self._records_since_checkpoint < self.checkpoint_every
+            ):
+                return False
+            self._paused += 1
+            return True
 
     def checkpoint_now(
         self, meta: dict[str, Any] | None = None
@@ -305,47 +301,52 @@ class IngestPipeline:
         The metadata records :attr:`records_submitted` (plus anything
         the :attr:`checkpoint_meta` hook or the ``meta`` argument
         adds), so a resumed run knows the exact stream offset to replay
-        from. Concurrent callers serialize; each writes its own
-        generation.
-        """
-        with self._checkpoint_mutex:
-            return self._checkpoint_quiesced(meta, active_allowance=0)
-
-    def _checkpoint_quiesced(
-        self, meta: dict[str, Any] | None, active_allowance: int
-    ) -> "Generation":
-        """Quiesce producers, drain, save one generation, resume.
-
-        ``active_allowance`` is the number of in-flight submits allowed
-        to remain registered: 0 for an external caller, 1 when called
-        *from inside* a submit (the caller itself, which has released
-        the apply lock). The caller must hold :attr:`_checkpoint_mutex`.
+        from. Concurrent callers each write their own generation.
         """
         if self.checkpoint_manager is None:
             raise RuntimeError(
                 "pipeline has no checkpoint_manager to checkpoint into"
             )
-        with self._lifecycle:
+        with self._lock:
             self._paused += 1
-            while self._active_submits > active_allowance:
-                self._lifecycle.wait()
+        return self._checkpoint_paused(
+            self.checkpoint_manager, meta, active_allowance=0
+        )
+
+    def _checkpoint_paused(
+        self,
+        manager: "CheckpointManager",
+        meta: dict[str, Any] | None,
+        active_allowance: int,
+    ) -> "Generation":
+        """Wait out in-flight submits, save one generation, resume.
+
+        The caller has counted this checkpoint in :attr:`_paused`; this
+        method always releases that count. ``active_allowance`` is the
+        number of in-flight submits allowed to remain registered: 0 for
+        an external caller, 1 when called *from inside* a submit (the
+        caller itself, which has released the lock).
+        """
         try:
+            with self._lock:
+                while self._active_submits > active_allowance:
+                    self._lock.wait()
+                submitted = self.records_submitted
             self.drain()
             merged: dict[str, Any] = {}
             if self.checkpoint_meta is not None:
                 merged.update(self.checkpoint_meta())
             if meta:
                 merged.update(meta)
-            with self._count_lock:
-                merged.setdefault("records_submitted", self.records_submitted)
-            generation = self.checkpoint_manager.save(self.pool, meta=merged)
-            with self._count_lock:
+            merged.setdefault("records_submitted", submitted)
+            generation = manager.save(self.pool, meta=merged)
+            with self._lock:
                 self._records_since_checkpoint = 0
             return generation
         finally:
-            with self._lifecycle:
+            with self._lock:
                 self._paused -= 1
-                self._lifecycle.notify_all()
+                self._lock.notify_all()
 
     def drain(self) -> None:
         """Wait for any chunk being applied, then surface a latched failure.
@@ -354,7 +355,7 @@ class IngestPipeline:
         estimator state is identical to a synchronous ingest of all
         submitted items — a safe point to query or checkpoint.
         """
-        with self._apply_lock:
+        with self._lock:
             if self.pool_observer is not None:
                 self.pool_observer.update()
         self._raise_pending()
@@ -379,11 +380,11 @@ class IngestPipeline:
         submit racing a close either completes before ``close`` returns
         or raises ``RuntimeError``.
         """
-        with self._lifecycle:
+        with self._lock:
             self._closed = True
-            self._lifecycle.notify_all()
+            self._lock.notify_all()
             while self._active_submits:
-                self._lifecycle.wait()
+                self._lock.wait()
         self.drain()
 
     def _raise_pending(self) -> None:

@@ -1,35 +1,27 @@
 """Tests for the concurrency tier of repro.analysis.
 
-Fixture coverage for the three concurrency checkers (guards, lockorder,
-asyncio) plus the allow-audit meta rule: every rule gets a bad
-snippet asserting the exact rule id at the exact line, and a good
-snippet that must stay clean. On top of the per-rule fixtures the suite
-covers the framework edges (guarded-by naming a nonexistent lock,
-allow() with an unknown id, decorated async handlers), the
-stale-baseline reporting/pruning, and the ``--changed`` CLI mode.
+Fixture coverage for the two concurrency checkers (guards, asyncio)
+plus the allow-audit meta rule: every rule gets a bad snippet asserting
+the exact rule id at the exact line, and a good snippet that must stay
+clean. On top of the per-rule fixtures the suite covers the framework
+edges (guarded-by naming a nonexistent lock, allow() with an unknown
+id, decorated async handlers).
 """
 
 from __future__ import annotations
 
-import json
-import subprocess
 import textwrap
 from pathlib import Path
 
-import pytest
-
 from repro.analysis import analyze_paths
-from repro.analysis.cli import analyze_main
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_on(tmp_path: Path, source: str, filename: str = "snippet.py", **kwargs):
+def run_on(tmp_path: Path, source: str, filename: str = "snippet.py"):
     """Write ``source`` under ``tmp_path`` and analyze it."""
     target = tmp_path / filename
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(textwrap.dedent(source), encoding="utf-8")
-    return analyze_paths([target], root=tmp_path, **kwargs)
+    return analyze_paths([target], root=tmp_path)
 
 
 def findings(result, rule: str) -> list[tuple[int, str]]:
@@ -250,182 +242,6 @@ class TestGuardedBy:
 
 
 # ----------------------------------------------------------------------
-# lockorder: acquires-while-holding cycles
-# ----------------------------------------------------------------------
-class TestLockOrder:
-    def test_two_lock_cycle_flagged_at_both_sites(self, tmp_path):
-        result = run_on(
-            tmp_path,
-            """\
-            import threading
-
-            class AB:
-                def __init__(self):
-                    self._a = threading.Lock()
-                    self._b = threading.Lock()
-
-                def one(self):
-                    with self._a:
-                        with self._b:
-                            pass
-
-                def two(self):
-                    with self._b:
-                        with self._a:
-                            pass
-            """,
-        )
-        assert findings(result, "lockorder.cycle") == [
-            (10, "lockorder.cycle"),
-            (15, "lockorder.cycle"),
-        ]
-        assert "lock-order cycle" in result.diagnostics[0].message
-
-    def test_consistent_order_clean(self, tmp_path):
-        result = run_on(
-            tmp_path,
-            """\
-            import threading
-
-            class AB:
-                def __init__(self):
-                    self._a = threading.Lock()
-                    self._b = threading.Lock()
-
-                def one(self):
-                    with self._a:
-                        with self._b:
-                            pass
-
-                def two(self):
-                    with self._a:
-                        with self._b:
-                            pass
-            """,
-        )
-        assert result.diagnostics == []
-
-    def test_cycle_through_helper_call(self, tmp_path):
-        result = run_on(
-            tmp_path,
-            """\
-            import threading
-
-            class Helper:
-                def __init__(self):
-                    self._a = threading.Lock()
-                    self._b = threading.Lock()
-
-                def _take_b(self):
-                    with self._b:
-                        pass
-
-                def one(self):
-                    with self._a:
-                        self._take_b()
-
-                def two(self):
-                    with self._b:
-                        with self._a:
-                            pass
-            """,
-        )
-        flagged = findings(result, "lockorder.cycle")
-        assert (14, "lockorder.cycle") in flagged  # the call site
-        assert (18, "lockorder.cycle") in flagged
-
-    def test_cross_class_cycle_via_composition(self, tmp_path):
-        result = run_on(
-            tmp_path,
-            """\
-            import threading
-
-            class Manager:
-                def __init__(self):
-                    self._mlock = threading.Lock()
-                    self.pipeline = None
-
-                def save(self):
-                    with self._mlock:
-                        pass
-
-                def poke(self):
-                    with self._mlock:
-                        self.pipeline.touch()
-
-            class Pipeline:
-                def __init__(self):
-                    self._plock = threading.Lock()
-                    self.manager = Manager()
-
-                def touch(self):
-                    with self._plock:
-                        pass
-
-                def checkpoint(self):
-                    with self._plock:
-                        self.manager.save()
-            """,
-        )
-        # Manager.poke resolves self.pipeline by the snake_case ->
-        # CamelCase convention; Pipeline.checkpoint by direct
-        # construction. Together they close _mlock <-> _plock.
-        assert findings(result, "lockorder.cycle") == [
-            (14, "lockorder.cycle"),
-            (27, "lockorder.cycle"),
-        ]
-
-    def test_self_reacquire_is_a_self_loop(self, tmp_path):
-        result = run_on(
-            tmp_path,
-            """\
-            import threading
-
-            class Re:
-                def __init__(self):
-                    self._lock = threading.Lock()
-
-                def outer(self):
-                    with self._lock:
-                        self.inner()
-
-                def inner(self):
-                    with self._lock:
-                        pass
-            """,
-        )
-        assert findings(result, "lockorder.cycle") == [
-            (9, "lockorder.cycle")
-        ]
-
-    def test_composition_without_cycle_clean(self, tmp_path):
-        result = run_on(
-            tmp_path,
-            """\
-            import threading
-
-            class Manager:
-                def __init__(self):
-                    self._mlock = threading.Lock()
-
-                def save(self):
-                    with self._mlock:
-                        pass
-
-            class Pipeline:
-                def __init__(self):
-                    self._plock = threading.Lock()
-                    self.manager = Manager()
-
-                def checkpoint(self):
-                    with self._plock:
-                        self.manager.save()
-            """,
-        )
-        assert result.diagnostics == []
-
-
-# ----------------------------------------------------------------------
 # asyncio: event-loop hygiene
 # ----------------------------------------------------------------------
 class TestAsyncioHygiene:
@@ -639,229 +455,8 @@ class TestAllowAudit:
             """\
             def f():
                 # analysis: allow(guards.unguarded-access) -- fine
-                # analysis: allow(lockorder, purity.loop) -- also fine
+                # analysis: allow(guards, purity.loop) -- also fine
                 return 1
             """,
         )
         assert result.diagnostics == []
-
-
-# ----------------------------------------------------------------------
-# stale baselines
-# ----------------------------------------------------------------------
-class TestStaleBaseline:
-    @staticmethod
-    def _baseline(tmp_path: Path, suppressions: list[dict]) -> Path:
-        path = tmp_path / "baseline.json"
-        path.write_text(
-            json.dumps({"version": 1, "suppressions": suppressions}),
-            encoding="utf-8",
-        )
-        return path
-
-    def test_unused_entry_reported_as_stale(self, tmp_path):
-        baseline = self._baseline(
-            tmp_path,
-            [{"path": "ghost.py", "rule": "purity.loop", "count": 2}],
-        )
-        result = run_on(
-            tmp_path,
-            """\
-            def f():
-                return 1
-            """,
-            baseline=baseline,
-        )
-        assert result.ok
-        assert result.stale_baseline == [("ghost.py", "purity.loop")]
-
-    def test_used_entry_is_not_stale(self, tmp_path):
-        baseline = self._baseline(
-            tmp_path,
-            [{"path": "snippet.py", "rule": "purity.loop", "count": 1}],
-        )
-        result = run_on(
-            tmp_path,
-            """\
-            def _record_plane(plane):
-                for part in plane.parts:
-                    part.apply(part)
-            """,
-            baseline=baseline,
-        )
-        assert result.ok
-        assert result.suppressed_baseline == 1
-        assert result.stale_baseline == []
-
-    def test_cli_warns_and_write_baseline_prunes(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.chdir(tmp_path)
-        target = tmp_path / "clean.py"
-        target.write_text("def f():\n    return 1\n", encoding="utf-8")
-        baseline = self._baseline(
-            tmp_path,
-            [{"path": "ghost.py", "rule": "purity.loop", "count": 2}],
-        )
-        assert (
-            analyze_main(["clean.py", "--baseline", str(baseline)]) == 0
-        )
-        captured = capsys.readouterr()
-        assert "stale baseline entry ghost.py: purity.loop" in captured.err
-
-        assert (
-            analyze_main(
-                [
-                    "clean.py",
-                    "--baseline",
-                    str(baseline),
-                    "--write-baseline",
-                    str(baseline),
-                ]
-            )
-            == 0
-        )
-        captured = capsys.readouterr()
-        assert "pruned 1 stale baseline entry" in captured.out
-        payload = json.loads(baseline.read_text(encoding="utf-8"))
-        assert payload["suppressions"] == []
-
-    def test_shipped_tree_has_no_stale_entries(self):
-        result = analyze_paths(
-            [REPO_ROOT / "src" / "repro"],
-            root=REPO_ROOT,
-            baseline=REPO_ROOT / "tools" / "analysis_baseline.json",
-        )
-        assert result.ok
-        assert result.stale_baseline == []
-
-
-# ----------------------------------------------------------------------
-# --changed (git-diff-scoped runs) and --summary
-# ----------------------------------------------------------------------
-def _git(repo: Path, *argv: str) -> None:
-    subprocess.run(
-        ["git", *argv],
-        cwd=repo,
-        check=True,
-        capture_output=True,
-        env={
-            "GIT_AUTHOR_NAME": "t",
-            "GIT_AUTHOR_EMAIL": "t@t",
-            "GIT_COMMITTER_NAME": "t",
-            "GIT_COMMITTER_EMAIL": "t@t",
-            "HOME": str(repo),
-            "PATH": "/usr/bin:/bin:/usr/local/bin",
-        },
-    )
-
-
-@pytest.fixture()
-def git_repo(tmp_path: Path) -> Path:
-    repo = tmp_path / "repo"
-    repo.mkdir()
-    _git(repo, "init", "-q")
-    (repo / "keep.py").write_text("def f():\n    return 1\n")
-    (repo / "oldname.py").write_text(
-        '"""Docstring keeping rename similarity high."""\n'
-        "\n"
-        "def g(seed):\n"
-        "    value = 40\n"
-        "    other = 2\n"
-        "    return value + other + seed\n"
-    )
-    (repo / "goner.py").write_text("def h():\n    return 3\n")
-    (repo / "notes.txt").write_text("not python\n")
-    _git(repo, "add", "-A")
-    _git(repo, "commit", "-qm", "init")
-    return repo
-
-
-class TestChangedMode:
-    def test_changed_scopes_to_diff_with_rename_and_delete(
-        self, git_repo, capsys, monkeypatch
-    ):
-        monkeypatch.chdir(git_repo)
-        (git_repo / "keep.py").write_text(
-            "def _record_plane(plane):\n"
-            "    for part in plane.parts:\n"
-            "        part.apply(part)\n"
-        )
-        _git(git_repo, "mv", "oldname.py", "newname.py")
-        _git(git_repo, "rm", "-q", "goner.py")
-        (git_repo / "notes.txt").write_text("still not python\n")
-        _git(git_repo, "add", "-A")
-
-        assert analyze_main(["--changed", "--no-baseline"]) == 1
-        out = capsys.readouterr().out
-        # keep.py (modified) is analyzed and flagged; the rename is
-        # followed to newname.py; the deleted file and the text file
-        # are skipped.
-        assert "keep.py:2" in out
-        assert "purity.loop" in out
-        assert "2 file(s)" in out
-        assert "goner" not in out
-
-    def test_changed_with_no_diff_exits_zero(
-        self, git_repo, capsys, monkeypatch
-    ):
-        monkeypatch.chdir(git_repo)
-        assert analyze_main(["--changed", "--no-baseline"]) == 0
-        assert "no changed Python files" in capsys.readouterr().out
-
-    def test_changed_excludes_explicit_paths(self, git_repo, monkeypatch):
-        monkeypatch.chdir(git_repo)
-        with pytest.raises(SystemExit):
-            analyze_main(["keep.py", "--changed"])
-
-    def test_changed_with_unknown_ref_errors(self, git_repo, monkeypatch):
-        monkeypatch.chdir(git_repo)
-        with pytest.raises(SystemExit):
-            analyze_main(["--changed", "no-such-ref", "--no-baseline"])
-
-
-class TestSummaryOutput:
-    def test_summary_table_lists_per_rule_counts(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text(
-            "def _record_plane(plane):\n"
-            "    for part in plane.parts:\n"
-            "        part.apply(part)\n",
-            encoding="utf-8",
-        )
-        summary = tmp_path / "summary.md"
-        assert (
-            analyze_main(
-                [str(bad), "--no-baseline", "--summary", str(summary)]
-            )
-            == 1
-        )
-        capsys.readouterr()
-        text = summary.read_text(encoding="utf-8")
-        assert "| rule | findings |" in text
-        assert "| `purity.loop` | 1 |" in text
-
-    def test_clean_summary_and_json_rule_counts(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.chdir(tmp_path)
-        clean = tmp_path / "clean.py"
-        clean.write_text("def f():\n    return 1\n", encoding="utf-8")
-        summary = tmp_path / "summary.md"
-        assert (
-            analyze_main(
-                [
-                    str(clean),
-                    "--no-baseline",
-                    "--format",
-                    "json",
-                    "--summary",
-                    str(summary),
-                ]
-            )
-            == 0
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["rule_counts"] == {}
-        assert payload["stale_baseline"] == []
-        assert "✅ clean" in summary.read_text(encoding="utf-8")

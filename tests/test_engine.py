@@ -7,6 +7,7 @@ machine in ``test_engine_stateful.py``; the accuracy claim is pinned in
 """
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -215,6 +216,25 @@ class TestPipeline:
         with IngestPipeline(pool) as pipe:
             assert pipe.submit(np.array([], dtype=np.uint64)) == 0
             assert pipe.estimate() == pytest.approx(0.0, abs=1e-9)
+
+    def test_failed_checkpoint_leaves_the_pause_gate_open(self):
+        # A checkpoint that cannot run must not leave the pipeline
+        # paused, or every later submit would park at the gate forever.
+        pipe = IngestPipeline(smb_pool(num_shards=2))
+        with pytest.raises(RuntimeError, match="no checkpoint_manager"):
+            pipe.checkpoint_now()
+        done = []
+
+        def submit_then_close():
+            done.append(pipe.submit([1, 2, 3]))
+            pipe.close()
+            done.append("closed")
+
+        worker = threading.Thread(target=submit_then_close, daemon=True)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive(), "submit or close parked at the gate"
+        assert done == [3, "closed"]
 
 
 class TestCheckpoint:

@@ -9,14 +9,28 @@ Two hypothesis properties pin the strongest claims of the library:
   asserted on the serialized state, not just the estimate;
 - ``to_bytes``/``from_bytes`` round-trips preserve ``query()`` and
   ``memory_bits()`` and continue recording identically.
+
+``TestClassContract`` checks the classes themselves: every concrete
+subclass of the base is known, named, exported and reads only the hash
+arrays it advertises.
 """
+
+import inspect
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import ExactCounter, HashPlane, HyperLogLogTailCut, SelfMorphingBitmap
+import repro.estimators
+from repro import (
+    CardinalityEstimator,
+    ExactCounter,
+    HashPlane,
+    HyperLogLogTailCut,
+    SelfMorphingBitmap,
+    ShardPool,
+)
 from repro.streams import distinct_items
 
 item_lists = st.lists(st.integers(0, 2**64 - 1), min_size=0, max_size=400)
@@ -371,3 +385,81 @@ class TestInstrumentation:
         for item in items.tolist():
             scalar.record(item)
         assert batch.hash_ops == scalar.hash_ops
+
+
+def concrete_estimator_classes() -> list[type]:
+    """Every non-abstract estimator class the library defines."""
+    found: set[type] = set()
+    stack = [CardinalityEstimator]
+    while stack:
+        for subclass in stack.pop().__subclasses__():
+            stack.append(subclass)
+            if subclass.__module__.startswith("repro.") and not (
+                inspect.isabstract(subclass)
+            ):
+                found.add(subclass)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+def build_for_plane_test(cls: type) -> CardinalityEstimator:
+    """``for_workload(5000, 10**5)``; the exact counter and the pool are
+    built as in ``conftest.py``, since neither sizes from a workload."""
+    if cls is ExactCounter:
+        return ExactCounter()
+    if cls is ShardPool:
+        return ShardPool.of("SMB", 5000, 4, seed=0)
+    return cls.for_workload(5000, 10**5)
+
+
+class TestClassContract:
+    """The library-wide estimator contract, checked on the live classes."""
+
+    def test_concrete_classes_are_pinned(self):
+        # A class that loses _record_u64, query or memory_bits turns
+        # abstract and drops out of this set.
+        assert [cls.__name__ for cls in concrete_estimator_classes()] == [
+            "AdaptiveBitmap",
+            "Bitmap",
+            "ExactCounter",
+            "FMSketch",
+            "HyperLogLog",
+            "HyperLogLogPlusPlus",
+            "HyperLogLogTailCut",
+            "HyperLogLogTailCutPlus",
+            "KMinValues",
+            "LogLog",
+            "MultiResolutionBitmap",
+            "RefinedHyperLogLog",
+            "SelfMorphingBitmap",
+            "ShardPool",
+            "SuperLogLog",
+        ]
+
+    def test_display_names_are_own_and_distinct(self):
+        # Bench tables and the engine CLI key on the display name, so
+        # an inherited one (the base's or a parent's) is a collision.
+        names = [cls.name for cls in concrete_estimator_classes()]
+        assert CardinalityEstimator.name not in names
+        assert len(set(names)) == len(names), sorted(names)
+
+    def test_estimator_package_classes_are_exported(self):
+        unexported = [
+            cls.__name__
+            for cls in concrete_estimator_classes()
+            if cls.__module__.startswith("repro.estimators.")
+            and cls.__name__ not in repro.estimators.__all__
+        ]
+        assert unexported == []
+
+    @pytest.mark.parametrize(
+        "cls", concrete_estimator_classes(), ids=lambda cls: cls.__name__
+    )
+    def test_record_plane_reads_only_requested_arrays(self, cls):
+        # A hash array read but not advertised defeats the pool and
+        # pipeline prefetch: every shard would re-hash its chunk.
+        estimator = build_for_plane_test(cls)
+        plane = HashPlane.of(distinct_items(4096, seed=23))
+        plane.prefetch(estimator.plane_requests())
+        prefetched = set(plane.materialized())
+        estimator.record_plane(plane)
+        assert set(plane.materialized()) == prefetched
