@@ -6,6 +6,7 @@ cardinality and the round counts sit in the same band as MRB's k.
 """
 
 from _helpers import NAMES  # noqa: F401  (suite-wide import parity)
+from repro.core import tuning
 from repro.core.tuning import (
     optimal_threshold,
     optimal_threshold_table,
@@ -14,7 +15,14 @@ from repro.core.tuning import (
 
 
 def test_optimal_threshold_search(benchmark):
-    benchmark(optimal_threshold, 5_000, 1_000_000)
+    # Each round empties the search's cache first, so it times the
+    # search rather than a cache hit.
+    benchmark.pedantic(
+        optimal_threshold,
+        args=(5_000, 1_000_000),
+        setup=tuning._threshold_search.cache_clear,
+        rounds=20,
+    )
 
 
 def test_table_shapes():

@@ -81,17 +81,6 @@ class Diagnostic:
         """``path:line:col: rule: message`` (single line, grep-friendly)."""
         return f"{self.path}:{self.line}:{self.col}: {self.rule}: {self.message}"
 
-    def to_json(self) -> dict[str, object]:
-        """All fields as a JSON-serializable dict."""
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule,
-            "message": self.message,
-            "hint": self.hint,
-        }
-
 
 class ModuleInfo:
     """One parsed source file: text, line table and AST."""

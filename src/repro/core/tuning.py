@@ -6,7 +6,9 @@ Table III (recommended MRB dimensioning).
 accommodates the design cardinality, pick the one maximizing the
 Theorem-3 bound β. :func:`optimal_threshold` implements exactly that
 search; :func:`optimal_threshold_table` regenerates Table II for any
-grid of (m, n).
+grid of (m, n). The search is a pure function of (m, n, δ), so its
+result is memoized per process in a bounded cache: every SMB, shard and
+tenant of one size after the first is built without searching again.
 
 **MRB dimensioning (Table III).** The paper ships a lookup table of
 ``(m/k, k)`` recommended by the MRB authors for each memory budget and
@@ -17,6 +19,7 @@ covers n) for budgets the table does not list.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,6 +57,9 @@ def optimal_threshold(
     configuration chosen for cardinality ``n`` is also valid for any
     smaller stream (the paper notes the optimum for ``n = n_max``
     applies to ``n ∈ [0, n_max]``).
+
+    The arguments are checked on every call; the search result is
+    memoized per (m, n, δ) for the 256 most recently used sizes.
     """
     m = int(memory_bits)
     n = int(design_cardinality)
@@ -61,6 +67,13 @@ def optimal_threshold(
         raise ValueError(f"memory_bits must be >= 4, got {m}")
     if n < 1:
         raise ValueError(f"design_cardinality must be >= 1, got {n}")
+    return _threshold_search(m, n, float(delta))
+
+
+# Bounded: a server's tenants share one or two sizes, and Table II has 44.
+@functools.lru_cache(maxsize=256)
+def _threshold_search(m: int, n: int, delta: float) -> int:
+    """The §IV-B search behind :func:`optimal_threshold` (validated args)."""
     best_t = None
     best_beta = -1.0
     fallback_t = None  # largest-range config, used if nothing covers n

@@ -11,6 +11,7 @@ estimator-contract properties are runtime tests in
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import textwrap
 from pathlib import Path
@@ -467,8 +468,9 @@ class TestFramework:
         )
         ordered = [(d.line, d.col) for d in result.diagnostics]
         assert ordered == sorted(ordered)
-        payload = result.diagnostics[0].to_json()
+        payload = dataclasses.asdict(result.diagnostics[0])
         assert set(payload) == {"path", "line", "col", "rule", "message", "hint"}
+        assert json.loads(json.dumps(payload)) == payload
 
 
 # ----------------------------------------------------------------------

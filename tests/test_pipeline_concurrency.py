@@ -258,10 +258,11 @@ class _RacyBitmap(Bitmap):
 
 
 def test_contended_submits_equal_synchronous_ingest():
-    """Producers share the shards under the apply lock: no apply
-    overlaps another on one shard, and the pool ends bit-identical to
-    one synchronous ingest of every key (Bitmap state does not depend
-    on arrival order)."""
+    """Producers share the shards under the pipeline's one lock (it
+    also guards the counters and lifecycle): no apply overlaps another
+    on one shard, and the pool ends bit-identical to one synchronous
+    ingest of every key (Bitmap state does not depend on arrival
+    order)."""
 
     def racy_pool() -> ShardPool:
         return ShardPool(lambda index: _RacyBitmap(1 << 15, seed=3), 4, seed=3)

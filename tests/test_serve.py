@@ -231,13 +231,22 @@ def test_tenant_limit_is_overloaded_error():
                     await client.record(
                         "second", np.arange(10, dtype=np.uint64)
                     )
-                return caught.value
+                # At the limit, the tenant already held keeps recording.
+                accepted = await client.record(
+                    "first", np.arange(10, 20, dtype=np.uint64)
+                )
+                stats = await client.stats()
+                return (caught.value, accepted, stats,
+                        server.registry.tenants())
         finally:
             await server.stop()
 
-    error = asyncio.run(scenario())
+    error, accepted, stats, tenants = asyncio.run(scenario())
     assert error.code == protocol.E_OVERLOADED
     assert error.transient  # RetryPolicy will retry it
+    assert accepted == 10
+    assert stats["tenants"] == 1
+    assert tenants == ["first"]
 
 
 def test_checkpoint_without_manager_is_clean_error():

@@ -3,7 +3,9 @@
 
 import pytest
 
+from repro.core import tuning
 from repro.core.tuning import (
+    DEFAULT_DELTA,
     TABLE_III,
     MRBParameters,
     mrb_parameters,
@@ -11,6 +13,21 @@ from repro.core.tuning import (
     optimal_threshold_table,
     smb_max_estimate,
 )
+from repro.serve.tenants import TenantConfig
+
+#: Table II as the §IV-B search computes it at δ = 0.1: the optimal T
+#: per memory m (keys) and design cardinality n (columns, in the order
+#: of TABLE_II_CARDINALITIES).
+TABLE_II_CARDINALITIES = (
+    80_000, 100_000, 200_000, 300_000, 400_000, 500_000,
+    600_000, 700_000, 800_000, 900_000, 1_000_000,
+)
+TABLE_II = {
+    1_000: (166, 166, 142, 125, 111, 111, 111, 100, 100, 100, 100),
+    2_500: (277, 312, 192, 227, 178, 192, 208, 208, 166, 178, 178),
+    5_000: (625, 714, 416, 500, 384, 416, 454, 454, 357, 500, 384),
+    10_000: (1428, 1666, 1428, 1111, 1250, 1250, 1000, 1000, 769, 1111, 833),
+}
 
 
 class TestSmbMaxEstimate:
@@ -31,6 +48,9 @@ class TestOptimalThreshold:
             optimal_threshold(2, 100)
         with pytest.raises(ValueError):
             optimal_threshold(1000, 0)
+        for __ in range(2):  # a failed search is not cached
+            with pytest.raises(ValueError):
+                optimal_threshold(1000, 100, delta=1.5)
 
     def test_range_covers_design_cardinality(self):
         for m in (1_000, 2_500, 5_000, 10_000):
@@ -60,6 +80,31 @@ class TestOptimalThreshold:
         )
         assert set(table) == {(5_000, 100_000), (5_000, 1_000_000)}
         assert all(1 <= t <= 2_500 for t in table.values())
+
+    def test_table_ii_pinned(self):
+        expected = {
+            (m, n): t
+            for m, row in TABLE_II.items()
+            for n, t in zip(TABLE_II_CARDINALITIES, row)
+        }
+        assert len(expected) == 44
+        assert optimal_threshold_table() == expected
+
+    def test_search_runs_once_per_configuration(self):
+        tuning._threshold_search.cache_clear()
+        default = TenantConfig()
+        bulk = TenantConfig(
+            memory_bits=10_000, shards=4, design_cardinality=1 << 24
+        )
+        builds = [(default, default.build_pool(f"t{i}")) for i in range(10)]
+        builds.append((bulk, bulk.build_pool("bulk")))
+        assert tuning._threshold_search.cache_info().misses == 2
+        uncached = tuning._threshold_search.__wrapped__
+        for config, pool in builds:
+            shard_design = config.design_cardinality // config.shards
+            for shard in pool.shards:
+                expected = uncached(shard.m, shard_design, DEFAULT_DELTA)
+                assert shard.T == expected
 
 
 class TestMrbParameters:
