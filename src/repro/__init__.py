@@ -15,38 +15,36 @@ Quickstart::
     print(smb.query())   # ~2.0
 """
 
-from repro.bitvector import BitVector
-from repro.core.smb import SelfMorphingBitmap
-from repro.engine import IngestPipeline, Partitioner, ShardPool
-from repro.core.theory import (
-    hll_error_bound,
-    mrb_error_bound,
-    smb_error_bound,
-)
-from repro.core.tuning import mrb_parameters, optimal_threshold
-from repro.estimators import (
-    AdaptiveBitmap,
-    Bitmap,
-    CardinalityEstimator,
-    ExactCounter,
-    FMSketch,
-    HyperLogLog,
-    HyperLogLogPlusPlus,
-    HyperLogLogTailCut,
-    KMinValues,
-    LogLog,
-    MultiResolutionBitmap,
-    SuperLogLog,
-)
-from repro.kernels import HashPlane
-from repro.sketches import PerFlowSketch
-from repro.streams import (
-    SyntheticTrace,
-    TraceConfig,
-    distinct_items,
-    random_strings,
-    stream_with_duplicates,
-)
+import importlib
+from typing import Any
+
+#: Public name -> the module that defines it. Names resolve on first
+#: use (PEP 562), so ``import repro`` loads no submodule and no numpy.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "repro.bitvector": ("BitVector",),
+        "repro.core.smb": ("SelfMorphingBitmap",),
+        "repro.core.theory": (
+            "hll_error_bound", "mrb_error_bound", "smb_error_bound",
+        ),
+        "repro.core.tuning": ("mrb_parameters", "optimal_threshold"),
+        "repro.engine": ("IngestPipeline", "Partitioner", "ShardPool"),
+        "repro.estimators": (
+            "AdaptiveBitmap", "Bitmap", "CardinalityEstimator",
+            "ExactCounter", "FMSketch", "HyperLogLog", "HyperLogLogPlusPlus",
+            "HyperLogLogTailCut", "KMinValues", "LogLog",
+            "MultiResolutionBitmap", "SuperLogLog",
+        ),
+        "repro.kernels": ("HashPlane",),
+        "repro.sketches": ("PerFlowSketch",),
+        "repro.streams": (
+            "SyntheticTrace", "TraceConfig", "distinct_items",
+            "random_strings", "stream_with_duplicates",
+        ),
+    }.items()
+    for name in names
+}
 
 __version__ = "1.0.0"
 
@@ -82,3 +80,16 @@ __all__ = [
     "stream_with_duplicates",
     "__version__",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

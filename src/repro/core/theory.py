@@ -40,11 +40,13 @@ from repro.core.smb import round_constants
 
 
 def _worst_case_counters(
-    n: float, memory_bits: int, threshold: int, delta: float
+    s: np.ndarray, n: float, m: int, t: int, delta: float
 ) -> tuple[int, int]:
-    """The Theorem-3 worst-case (r, U_r) for target cardinality n."""
-    m, t = int(memory_bits), int(threshold)
-    s = round_constants(m, t)
+    """The Theorem-3 worst-case (r, U_r) for target cardinality n.
+
+    ``s`` is ``round_constants(m, t)``, passed in so a caller that
+    evaluates several functions of one (m, T) computes it once.
+    """
     target = n * (1.0 + delta)
     # r: the largest round index whose prefix estimate stays below target.
     r = 0
@@ -90,7 +92,14 @@ def smb_error_bound(
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
     m, t = int(memory_bits), int(threshold)
-    r, u_r = _worst_case_counters(n, m, t, delta)
+    return _smb_beta(round_constants(m, t), delta, n, m, t, exact)
+
+
+def _smb_beta(
+    s: np.ndarray, delta: float, n: float, m: int, t: int, exact: bool = False
+) -> float:
+    """:func:`smb_error_bound` for validated arguments and ``s = S(m, T)``."""
+    r, u_r = _worst_case_counters(s, n, m, t, delta)
     m_r = m - r * t
     if m_r <= 0:
         return 0.0

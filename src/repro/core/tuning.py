@@ -23,8 +23,10 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.smb import round_constants
-from repro.core.theory import smb_error_bound
+from repro.core.theory import _smb_beta
 
 #: Default δ at which β is maximized when choosing T (the paper's Fig. 5
 #: anchors use δ = 0.1).
@@ -38,7 +40,11 @@ RANGE_HEADROOM = 2.0
 def smb_max_estimate(memory_bits: int, threshold: int) -> float:
     """Largest finite estimate of an (m, T) SMB (§III-B)."""
     m, t = int(memory_bits), int(threshold)
-    s = round_constants(m, t)
+    return _max_estimate(round_constants(m, t), m, t)
+
+
+def _max_estimate(s: np.ndarray, m: int, t: int) -> float:
+    """:func:`smb_max_estimate` given ``s = round_constants(m, t)``."""
     last = m // t - 1 if m % t == 0 else m // t
     m_last = m - last * t
     return float(s[last]) + math.ldexp(m, last) * math.log(max(1, m_last))
@@ -63,11 +69,14 @@ def optimal_threshold(
     """
     m = int(memory_bits)
     n = int(design_cardinality)
+    delta = float(delta)
     if m < 4:
         raise ValueError(f"memory_bits must be >= 4, got {m}")
     if n < 1:
         raise ValueError(f"design_cardinality must be >= 1, got {n}")
-    return _threshold_search(m, n, float(delta))
+    if not 0 < delta < 1:  # also rejects NaN
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    return _threshold_search(m, n, delta)
 
 
 # Bounded: a server's tenants share one or two sizes, and Table II has 44.
@@ -84,12 +93,13 @@ def _threshold_search(m: int, n: int, delta: float) -> int:
             break
         if m // t != ratio:  # skip duplicate T values
             continue
-        reach = smb_max_estimate(m, t)
+        s = round_constants(m, t)  # once per T, shared by both helpers
+        reach = _max_estimate(s, m, t)
         if reach > fallback_range:
             fallback_range, fallback_t = reach, t
         if reach < RANGE_HEADROOM * n:
             continue
-        beta = smb_error_bound(delta, n, m, t)
+        beta = _smb_beta(s, delta, n, m, t)
         if beta > best_beta:
             best_beta, best_t = beta, t
     if best_t is None:

@@ -12,12 +12,17 @@ by class name, together with the innermost container that accepts it:
 - ``"checkpoint"``: a checkpoint file only; the serving layer's
   ``TenantRegistry`` registers here.
 
+:func:`sketch_registry` imports every module that registers a class
+before it reads the table, so a process can decode any frame or
+checkpoint whatever it imported before.
+
 :func:`make_estimator` builds an estimator by its display ``name`` with
 the class's own sizing rule, ``for_workload``.
 """
 
 from __future__ import annotations
 
+import importlib
 from typing import TYPE_CHECKING, Any, Callable, TypeVar
 
 if TYPE_CHECKING:
@@ -38,6 +43,16 @@ ALL_ESTIMATORS = (
     "HLL", "HLL++", "HLL-TailC", "HLL-TailC+", "KMV", "SMB",
 )
 
+#: Every module whose import registers a class. A module that adds a
+#: ``@register`` or a declared ``state`` belongs here;
+#: tests/test_startup.py fails when one is missing.
+_REGISTERING_MODULES = (
+    "repro.estimators",
+    "repro.core.smb",
+    "repro.engine.shards",
+    "repro.serve.tenants",
+)
+
 _ENTRIES: dict[str, tuple[type[Any], int]] = {}
 
 _C = TypeVar("_C", bound=type)
@@ -56,6 +71,8 @@ def register(scope: str) -> Callable[[_C], _C]:
 
 def sketch_registry(scope: str = "shard") -> dict[str, type[Any]]:
     """Class-name → class map of everything ``scope`` accepts."""
+    for module in _REGISTERING_MODULES:
+        importlib.import_module(module)  # a dict lookup once loaded
     level = SCOPES.index(scope)
     return {name: cls for name, (cls, at) in _ENTRIES.items() if at <= level}
 

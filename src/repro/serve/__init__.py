@@ -9,15 +9,27 @@ the concurrency test harness (:mod:`~repro.serve.loadgen`), and the
 ``repro serve`` command (:mod:`~repro.serve.cli`). Protocol spec and
 deployment notes live in ``docs/serving.md``.
 
-Importing this package registers
-:class:`~repro.serve.tenants.TenantRegistry` with the checkpoint layer,
-so server snapshots ride the engine's atomic generation machinery.
+Names resolve on first use (PEP 562): ``repro serve`` loads the server
+without the client, and ``from repro.serve import ServeClient`` loads
+the client without the server.
 """
 
-from repro.serve.client import RetryingClient, ServeClient, ServeError
-from repro.serve.protocol import FrameDecoder, ProtocolError
-from repro.serve.server import CardinalityServer
-from repro.serve.tenants import TenantConfig, TenantLimitError, TenantRegistry
+import importlib
+from typing import Any
+
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "repro.serve.client": ("RetryingClient", "ServeClient", "ServeError"),
+        "repro.serve.protocol": ("FrameDecoder", "ProtocolError"),
+        "repro.serve.server": ("CardinalityServer",),
+        "repro.serve.tenants": (
+            "TenantConfig", "TenantLimitError", "TenantRegistry",
+        ),
+    }.items()
+    for name in names
+}
 
 __all__ = [
     "CardinalityServer",
@@ -30,3 +42,16 @@ __all__ = [
     "TenantLimitError",
     "TenantRegistry",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -85,6 +85,12 @@ __all__ = ["CardinalityServer"]
 BACKLOG_HIGH = 64
 BACKLOG_LOW = 8
 
+#: Verbs served on the sequential path. ``handle_inline`` passes them
+#: on undecoded, so ``handle`` decodes each such body exactly once.
+_SLOW_VERBS = frozenset(
+    (protocol.RECORD, protocol.CHECKPOINT, protocol.EXPORT, protocol.MERGE_IN)
+)
+
 #: STATS includes the per-tenant record accounting only up to this many
 #: tenants; beyond it only the aggregate is reported (the document is
 #: sent on every STATS request and must stay bounded).
@@ -409,11 +415,14 @@ class CardinalityServer:
     def handle_inline(self, body: bytes) -> bytes | None:
         """Serve one frame synchronously if it needs no awaiting.
 
-        Returns the encoded response for fast verbs (ESTIMATE, STATS)
-        and for malformed frames; returns ``None`` for slow verbs
-        (RECORD, CHECKPOINT), which the caller must queue for the
-        sequential path.
+        Returns the encoded response for fast verbs (ESTIMATE, STATS),
+        unknown verbs and empty bodies. Returns ``None``, without
+        decoding the body, for slow verbs (RECORD, CHECKPOINT, EXPORT,
+        MERGE_IN): the caller queues them for :meth:`handle`, which
+        decodes them and answers a malformed one with its error frame.
         """
+        if body and body[0] in _SLOW_VERBS:
+            return None
         metrics = self.metrics
         began = time.perf_counter() if metrics is not None else 0.0
         try:

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import EXPERIMENTS, Block, main
+from repro.bench.experiments import EXPERIMENTS, Block
+from repro.cli import main
 
 
 class TestBlock:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cli import EXPERIMENTS
+from repro.bench.experiments import EXPERIMENTS
 
 ROOT = Path(__file__).parent.parent
 

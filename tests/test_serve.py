@@ -195,6 +195,51 @@ def test_garbage_payload_gets_error_frame_and_connection_survives():
     assert second.estimate == 0.0  # unknown tenant reads as empty
 
 
+def test_record_body_is_decoded_once(monkeypatch):
+    """The inline path passes a RECORD on undecoded; ``handle`` decodes
+    it, and a malformed RECORD gets the error frame its decode raises."""
+    decode = protocol.decode_request
+    decoded = []
+
+    def counting(body):
+        decoded.append(body[0])
+        return decode(body)
+
+    monkeypatch.setattr(protocol, "decode_request", counting)
+    record = protocol.encode_request(
+        protocol.Record("t", np.arange(100, dtype=np.uint64))
+    )[4:]
+    malformed = record[:-1]  # one key byte short
+    with pytest.raises(protocol.ProtocolError) as caught:
+        decode(malformed)
+
+    async def scenario():
+        server = CardinalityServer(make_config())
+        host, port = await start_server(server)
+        try:
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(protocol.encode_frame(record))
+            writer.write(protocol.encode_frame(malformed))
+            await writer.drain()
+            decoder = protocol.FrameDecoder()
+            responses = []
+            while len(responses) < 2:
+                chunk = await reader.read(65536)
+                assert chunk, "server closed a recoverable connection"
+                responses.extend(decoder.feed(chunk))
+            writer.close()
+            return responses
+        finally:
+            await server.stop()
+
+    accepted, error = asyncio.run(scenario())
+    assert decoded == [protocol.RECORD, protocol.RECORD]
+    assert protocol.decode_response(accepted) == protocol.RecordOk(100)
+    assert protocol.encode_frame(error) == protocol.encode_error(
+        caught.value.code, str(caught.value)
+    )
+
+
 def test_broken_framing_gets_error_frame_then_close():
     async def scenario():
         server = CardinalityServer(make_config(), max_frame=1024)

@@ -51,6 +51,11 @@ class TestOptimalThreshold:
         for __ in range(2):  # a failed search is not cached
             with pytest.raises(ValueError):
                 optimal_threshold(1000, 100, delta=1.5)
+        # δ is checked up front, not only where the search evaluates β
+        # (no ratio of a 4-bit budget covers 10^9).
+        for delta in (5, 0.0, 1.0, float("nan")):
+            with pytest.raises(ValueError, match="delta"):
+                optimal_threshold(4, 10**9, delta=delta)
 
     def test_range_covers_design_cardinality(self):
         for m in (1_000, 2_500, 5_000, 10_000):

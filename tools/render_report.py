@@ -7,6 +7,9 @@ Usage::
 
 The report contains every experiment's tables as GitHub-flavoured
 markdown, ready to paste into an issue or paper appendix.
+
+Section headings take each experiment's description from the
+experiment table, ``repro.bench.experiments.EXPERIMENTS``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import json
 from pathlib import Path
 
 from repro.bench.reporting import format_markdown
-from repro.cli import EXPERIMENTS
+from repro.bench.experiments import EXPERIMENTS
 
 
 def render_report(payload: dict[str, list[dict]], scale_note: str = "") -> str:
