@@ -1,6 +1,6 @@
 # Convenience targets for the SMB reproduction.
 
-.PHONY: install test coverage bench bench-timing bench-engine experiments examples calibrate clean
+.PHONY: install test coverage bench bench-timing experiments examples calibrate clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -13,9 +13,6 @@ bench:               ## shape assertions + timing benchmarks
 
 bench-timing:        ## timing benchmarks only
 	pytest benchmarks/ --benchmark-only
-
-bench-engine:        ## engine ingest throughput vs shard count
-	python benchmarks/bench_engine_scaling.py
 
 coverage:            ## tests with the CI coverage floor (needs pytest-cov)
 	pytest tests/ --cov=repro --cov-report=term-missing --cov-fail-under=80

@@ -1,137 +1,21 @@
-"""Microbenchmarks of the kernels layer: hash planes + scatter kernels.
+"""Speed claims of the kernels layer, asserted at benchmark scale.
 
-Three groups:
-
-- ``kernels-scatter`` — both scatter strategies (indexed ``ufunc.at``
-  and the sorted ``reduceat`` fallback) head to head, so the strategy
-  auto-selection in ``repro.kernels.scatter`` stays justified by data;
-- ``kernels-plane`` — plane construction, prefetch, and partition
-  (the per-chunk work the engine adds on top of raw recording);
-- ``kernels-record`` — full-estimator recording through the plane path
-  for the estimators whose kernels this layer hosts.
-
-The closing plain tests assert the load-bearing speed claims: the plane
-path must beat the scalar reference loop by a wide margin, and a shared
-plane must make the second consumer of a chunk nearly free.
+The plane path must beat the scalar reference loop by a wide margin, a
+shared plane must make the second consumer of a chunk nearly free, and a
+sparse batch must not re-popcount a whole bitmap. The timings behind
+these claims (recording, hash planes, partitioning) are written to
+``BENCH_kernels.json`` by ``tools/bench_snapshot.py kernels``.
 """
 
 import time
 
 import numpy as np
-import pytest
 
 from _helpers import fresh
-from repro.engine.partition import Partitioner
-from repro.kernels import (
-    HashPlane,
-    geometric_request,
-    positions_request,
-    scatter_max,
-    scatter_or,
-    uniform_request,
-)
-from repro.kernels import scatter as scatter_module
+from repro.kernels import HashPlane
 from repro.streams import distinct_items
 
 ARRAY = distinct_items(100_000, seed=11)
-RNG = np.random.default_rng(23)
-SCATTER_IDX = RNG.integers(0, 4096, size=100_000, dtype=np.uint64)
-SCATTER_VALS = RNG.integers(1, 32, size=100_000).astype(np.uint8)
-SCATTER_MASKS = np.uint64(1) << RNG.integers(
-    0, 64, size=100_000, dtype=np.uint64
-)
-
-PLANE_REQUESTS = (
-    uniform_request(1),
-    geometric_request(2),
-    positions_request(3, 5_000),
-)
-
-
-def _with_strategy(fast: bool, fn):
-    saved = scatter_module._FAST_UFUNC_AT
-    scatter_module._FAST_UFUNC_AT = fast
-    try:
-        fn()
-    finally:
-        scatter_module._FAST_UFUNC_AT = saved
-
-
-@pytest.mark.benchmark(group="kernels-scatter")
-def test_scatter_max_ufunc_at_100k(benchmark):
-    target = np.zeros(4096, dtype=np.uint8)
-    benchmark(
-        _with_strategy,
-        True,
-        lambda: scatter_max(target, SCATTER_IDX, SCATTER_VALS),
-    )
-
-
-@pytest.mark.benchmark(group="kernels-scatter")
-def test_scatter_max_reduceat_100k(benchmark):
-    target = np.zeros(4096, dtype=np.uint8)
-    benchmark(
-        _with_strategy,
-        False,
-        lambda: scatter_max(target, SCATTER_IDX, SCATTER_VALS),
-    )
-
-
-@pytest.mark.benchmark(group="kernels-scatter")
-def test_scatter_or_ufunc_at_100k(benchmark):
-    target = np.zeros(4096, dtype=np.uint64)
-    benchmark(
-        _with_strategy,
-        True,
-        lambda: scatter_or(target, SCATTER_IDX, SCATTER_MASKS),
-    )
-
-
-@pytest.mark.benchmark(group="kernels-scatter")
-def test_scatter_or_reduceat_100k(benchmark):
-    target = np.zeros(4096, dtype=np.uint64)
-    benchmark(
-        _with_strategy,
-        False,
-        lambda: scatter_or(target, SCATTER_IDX, SCATTER_MASKS),
-    )
-
-
-@pytest.mark.benchmark(group="kernels-plane")
-def test_plane_prefetch_100k(benchmark):
-    def run():
-        plane = HashPlane(ARRAY)
-        plane.prefetch(PLANE_REQUESTS)
-
-    benchmark(run)
-
-
-@pytest.mark.benchmark(group="kernels-plane")
-def test_plane_memoized_reread_100k(benchmark):
-    plane = HashPlane(ARRAY)
-    plane.prefetch(PLANE_REQUESTS)
-    benchmark(plane.uniform, 1)
-
-
-@pytest.mark.benchmark(group="kernels-plane")
-def test_plane_split_8_shards_100k(benchmark):
-    partitioner = Partitioner(8, seed=3)
-
-    def run():
-        plane = HashPlane(ARRAY)
-        plane.prefetch(PLANE_REQUESTS)
-        partitioner.split_plane(plane)
-
-    benchmark(run)
-
-
-@pytest.mark.benchmark(group="kernels-record")
-@pytest.mark.parametrize("name", ("SMB", "MRB", "HLL++", "FM", "HLL-TailC"))
-def test_record_plane_100k(benchmark, name):
-    def run():
-        fresh(name).record_many(ARRAY)
-
-    benchmark(run)
 
 
 def _per_item_seconds(fn, items: int) -> float:

@@ -20,7 +20,6 @@ import struct
 import numpy as np
 
 from repro.framing import read_array, require_consumed, unpack_header
-from repro.kernels.scatter import scatter_or
 
 _WORD_BITS = 64
 _U64_6 = np.uint64(6)
@@ -134,7 +133,7 @@ class BitVector:
         idx = indices.astype(np.uint64, copy=False)
         nwords = self._words.size
         if idx.size >= nwords >> _DENSE_SHIFT:
-            scatter_or(
+            np.bitwise_or.at(
                 self._words, idx >> _U64_6, _U64_ONE << (idx & _U64_63)
             )
             return self._recount()

@@ -67,9 +67,19 @@ def round_constants(memory_bits: int, threshold: int) -> np.ndarray:
     a finite per-round estimate; the final supported round (``m_i ==
     T``) would fill the bitmap completely, so its completion marks
     saturation and ``S[m//T]`` is infinite.
+
+    Raises ``ValueError`` when ``m // T`` leaves float64's range.
     """
     m, t = int(memory_bits), int(threshold)
     max_rounds = m // t
+    # Round i scales its estimate by 2^i·m (eq. (9)); math.ldexp
+    # overflows float64 once i + log2(m) reaches 1023.
+    max_ratio = 1023 - m.bit_length()
+    if max_rounds > max_ratio:
+        raise ValueError(
+            f"m // T = {max_rounds} exceeds {max_ratio}, the "
+            f"largest supported m // T for m = {m}"
+        )
     s = np.zeros(max_rounds + 1, dtype=np.float64)
     for i in range(max_rounds):
         m_i = m - i * t
@@ -151,22 +161,15 @@ class SelfMorphingBitmap(CardinalityEstimator):
                 f"threshold must be in [1, m/2] = [1, {self.m // 2}], "
                 f"got {threshold}"
             )
-        # Round i scales its estimate by 2^i·m (eq. (9)); math.ldexp
-        # overflows float64 once i + log2(m) reaches 1023.
-        max_ratio = 1023 - self.m.bit_length()
-        if self.m // threshold > max_ratio:
-            raise ValueError(
-                f"m // T = {self.m // threshold} exceeds {max_ratio}, the "
-                f"largest supported m // T for m = {self.m}"
-            )
         self.T = int(threshold)
+        # Before any allocation: raises on an m // T past float64.
+        self._s = round_constants(self.m, self.T)
         self.seed = int(seed)
         self.r = 0  # round index
         self.v = 0  # bits newly set in the current round
         self._bits = BitVector(self.m)
         self._geometric_hash = GeometricHash(seed)
         self._position_hash = UniformHash(seed + 0x504F53)
-        self._s = round_constants(self.m, self.T)
 
     @classmethod
     def for_workload(

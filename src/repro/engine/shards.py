@@ -227,9 +227,21 @@ class ShardPool(CardinalityEstimator):
         """
         self._check_mergeable(other)
         assert isinstance(other, ShardPool)  # _check_mergeable guarantees it
-        self._check_merge_params(other, "num_shards", "seed")
         for mine, theirs in zip(self.shards, other.shards):
             mine.merge(theirs)
+
+    def _check_mergeable(self, other: CardinalityEstimator) -> None:
+        """Raise unless ``other`` is a pool over the same partition whose
+        every shard matches this pool's in class and merge parameters.
+
+        Checks every shard before :meth:`merge` touches one, so a
+        mismatch in a late shard leaves the pool unchanged.
+        """
+        super()._check_mergeable(other)
+        assert isinstance(other, ShardPool)  # the base class checked it
+        self._check_merge_params(other, "num_shards", "seed")
+        for mine, theirs in zip(self.shards, other.shards):
+            mine._check_mergeable(theirs)
 
     def merged(self) -> CardinalityEstimator:
         """Collapse all shards into one sketch of the whole stream.

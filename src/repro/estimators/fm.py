@@ -29,7 +29,6 @@ from repro.kernels import (
     HashPlane,
     geometric_request,
     positions_request,
-    scatter_or,
 )
 
 #: Flajolet–Martin correction factor (their φ; asymptotic value).
@@ -99,7 +98,7 @@ class FMSketch(CardinalityEstimator):
         bits = np.minimum(
             plane.geometric(self._geometric_hash.seed), REGISTER_BITS - 1
         ).astype(np.uint32, copy=False)
-        scatter_or(self._registers, registers, np.uint32(1) << bits)
+        np.bitwise_or.at(self._registers, registers, np.uint32(1) << bits)
 
     # ------------------------------------------------------------------
     # Querying

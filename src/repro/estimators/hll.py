@@ -36,7 +36,6 @@ from repro.kernels import (
     HashPlane,
     geometric_request,
     positions_request,
-    scatter_max,
 )
 
 REGISTER_BITS = 5
@@ -113,7 +112,7 @@ class HyperLogLog(CardinalityEstimator):
         ranks = np.minimum(
             plane.geometric(self._geometric_hash.seed), MAX_RANK - 1
         ) + np.uint8(1)
-        scatter_max(self._registers, registers, ranks)
+        np.maximum.at(self._registers, registers, ranks)
 
     # ------------------------------------------------------------------
     # Querying

@@ -34,7 +34,6 @@ from repro.kernels import (
     HashPlane,
     geometric_request,
     positions_request,
-    scatter_max,
 )
 
 REGISTER_BITS = 4
@@ -133,7 +132,7 @@ class HyperLogLogTailCut(CardinalityEstimator):
             offsets = np.clip(
                 ranks[start:stop] - self.base, 0, OFFSET_MAX
             ).astype(np.uint8, copy=False)
-            scatter_max(self._offsets, registers[start:stop], offsets)
+            np.maximum.at(self._offsets, registers[start:stop], offsets)
             self._normalize()
 
     # ------------------------------------------------------------------

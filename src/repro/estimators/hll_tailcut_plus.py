@@ -35,7 +35,6 @@ from repro.kernels import (
     HashPlane,
     geometric_request,
     positions_request,
-    scatter_max,
 )
 
 REGISTER_BITS = 3
@@ -155,7 +154,7 @@ class HyperLogLogTailCutPlus(CardinalityEstimator):
             offsets = np.clip(
                 ranks[start:stop] - self.base, 0, OFFSET_MAX
             ).astype(np.uint8, copy=False)
-            scatter_max(self._offsets, registers[start:stop], offsets)
+            np.maximum.at(self._offsets, registers[start:stop], offsets)
             self._normalize()
 
     # ------------------------------------------------------------------

@@ -28,7 +28,6 @@ from repro.kernels import (
     HashPlane,
     geometric_request,
     positions_request,
-    scatter_max,
 )
 
 REGISTER_BITS = 5
@@ -99,7 +98,7 @@ class LogLog(CardinalityEstimator):
             + 1,
             REGISTER_MAX,
         ).astype(np.uint8, copy=False)
-        scatter_max(self._registers, registers, ranks)
+        np.maximum.at(self._registers, registers, ranks)
 
     # ------------------------------------------------------------------
     # Querying

@@ -30,7 +30,6 @@ from repro.hashing import UniformHash, trailing_zeros
 from repro.kernels import (
     HashPlane,
     positions_request,
-    scatter_max,
     uniform_request,
 )
 
@@ -121,7 +120,7 @@ class RefinedHyperLogLog(CardinalityEstimator):
         self.bits_accessed += 5 * plane.size
         registers = plane.positions(self._route_hash.seed, self.t)
         ranks = self._level_array(plane.uniform(self._level_hash.seed)) + np.uint8(1)
-        scatter_max(self._registers, registers, ranks)
+        np.maximum.at(self._registers, registers, ranks)
 
     # ------------------------------------------------------------------
     # Coefficient learning + querying

@@ -1,14 +1,11 @@
 """Shared vectorized kernels under every estimator's batch path.
 
-Two building blocks live here:
-
-- :class:`~repro.kernels.plane.HashPlane` — the per-chunk *hash plane*:
-  the canonical ``u64 → splitmix64 → geometric-level`` arrays computed
-  once per chunk and shared by every consumer of that chunk (estimators,
-  shard pools, ingestion pipelines, benchmark harnesses);
-- :mod:`~repro.kernels.scatter` — scatter-reduce kernels
-  (:func:`scatter_max`, :func:`scatter_or`) that apply register maxima
-  and bit ORs through the fastest strategy the running NumPy offers.
+:class:`~repro.kernels.plane.HashPlane` is the per-chunk *hash plane*:
+the canonical ``u64 → splitmix64 → geometric-level`` arrays computed
+once per chunk and shared by every consumer of that chunk (estimators,
+shard pools, ingestion pipelines, benchmark harnesses). Register maxima
+and bit ORs are applied with NumPy's indexed ``np.maximum.at`` /
+``np.bitwise_or.at`` loops, which are exact under duplicate indices.
 
 See ``docs/architecture.md`` ("kernels layer") for the lifecycle and
 memory-footprint discussion.
@@ -20,13 +17,10 @@ from repro.kernels.plane import (
     positions_request,
     uniform_request,
 )
-from repro.kernels.scatter import scatter_max, scatter_or
 
 __all__ = [
     "HashPlane",
     "geometric_request",
     "positions_request",
     "uniform_request",
-    "scatter_max",
-    "scatter_or",
 ]

@@ -1,8 +1,10 @@
 """The ``repro stats`` subcommand: inspect a metrics snapshot.
 
 Reads a JSON snapshot written by ``repro engine --metrics-out`` (or the
-periodic snapshotter) and renders it as a human-readable table, as
-Prometheus exposition text, or re-emits the JSON::
+periodic snapshotter), checks it with
+:func:`~repro.obs.render.validate_metrics_snapshot` (exiting with the
+problems when it is invalid), and renders it as a human-readable table,
+as Prometheus exposition text, or re-emits the JSON::
 
     repro stats metrics.json                  # aligned table
     repro stats metrics.json --format prom    # Prometheus text
@@ -16,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 
-from repro.obs.render import render_prometheus
+from repro.obs.render import render_prometheus, validate_metrics_snapshot
 
 __all__ = ["build_parser", "stats_main"]
 
@@ -69,10 +71,11 @@ def stats_main(argv: list[str] | None = None) -> int:
             document = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise SystemExit(f"cannot read snapshot {args.snapshot}: {exc}")
-    if not isinstance(document, dict) or "metrics" not in document:
+    problems = validate_metrics_snapshot(document)
+    if problems:
         raise SystemExit(
-            f"{args.snapshot} is not a repro.obs metrics snapshot "
-            "(missing 'metrics')"
+            f"{args.snapshot} is not a valid repro.obs metrics snapshot:\n  "
+            + "\n  ".join(problems)
         )
 
     if args.format == "json":

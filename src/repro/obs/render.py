@@ -7,8 +7,9 @@ Two interchangeable views of a :class:`~repro.obs.metrics.MetricsRegistry`:
   sample, histograms expanded into ``_bucket``/``_sum``/``_count``
   series) for scraping or eyeballing;
 - :func:`snapshot` / :func:`write_snapshot` — a JSON document of the
-  same data (validated by ``tools/bench_snapshot.py --check-metrics``
-  in CI), suitable for diffing runs and machine consumption.
+  same data, suitable for diffing runs and machine consumption, and
+  :func:`validate_metrics_snapshot`, which checks such a document
+  (``repro stats`` runs it on every file it reads).
 
 :func:`parse_prometheus` parses the text format back into a
 ``sample-name → value`` map; the round-trip (snapshot → text → parse)
@@ -18,6 +19,7 @@ is asserted by ``tests/test_obs.py``.
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Mapping
 
@@ -27,6 +29,7 @@ __all__ = [
     "parse_prometheus",
     "render_prometheus",
     "snapshot",
+    "validate_metrics_snapshot",
     "write_snapshot",
 ]
 
@@ -99,6 +102,148 @@ def write_snapshot(
         handle.write("\n")
     os.replace(temp_path, path)
     return document
+
+
+#: The family types :meth:`MetricsRegistry.collect` emits.
+_METRIC_KINDS = ("counter", "gauge", "histogram")
+
+
+def validate_metrics_snapshot(document: object) -> list[str]:
+    """Problems with a :func:`snapshot` document; empty when it is valid.
+
+    Checks the shape :func:`snapshot` writes: the ``generated_by``
+    marker, a non-empty ``metrics`` list whose samples carry the payload
+    of their family's ``type`` and exactly its labels, cumulative
+    histogram buckets ending at ``"+Inf"``, and an optional flat ``run``
+    of numbers. Each problem names the path of the offending value.
+    """
+    if not isinstance(document, dict):
+        return [f"snapshot: expected an object, got {document!r}"]
+    errors: list[str] = []
+    if document.get("generated_by") != GENERATOR:
+        errors.append(
+            f"snapshot.generated_by: expected {GENERATOR!r}, got "
+            f"{document.get('generated_by')!r}"
+        )
+    if "metrics" not in document:
+        errors.append("snapshot: missing 'metrics'")
+    elif not isinstance(document["metrics"], list) or not document["metrics"]:
+        errors.append("snapshot.metrics: expected a non-empty list")
+    else:
+        for i, family in enumerate(document["metrics"]):
+            _check_metric_family(family, f"snapshot.metrics[{i}]", errors)
+    run = document.get("run")
+    if run is not None:
+        if not isinstance(run, dict) or not run:
+            errors.append("snapshot.run: expected a non-empty object")
+        else:
+            for key, value in run.items():
+                _check_number(value, f"snapshot.run.{key}", errors)
+    for key in sorted(document.keys() - {"generated_by", "metrics", "run"}):
+        errors.append(f"snapshot: unexpected key {key!r}")
+    return errors
+
+
+def _check_number(
+    value: object, path: str, errors: list[str], count: bool = False
+) -> None:
+    """A finite number; with ``count``, also non-negative."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+    ):
+        errors.append(f"{path}: expected a finite number, got {value!r}")
+    elif count and value < 0:
+        errors.append(f"{path}: expected a non-negative number, got {value!r}")
+
+
+def _check_metric_family(family: object, path: str, errors: list[str]) -> None:
+    """Validate one family entry of a metrics snapshot."""
+    if not isinstance(family, dict):
+        errors.append(f"{path}: expected an object, got {family!r}")
+        return
+    for key in sorted(
+        {"name", "type", "help", "label_names", "samples"} - family.keys()
+    ):
+        errors.append(f"{path}: missing {key!r}")
+    name = family.get("name")
+    if not isinstance(name, str) or not name.strip():
+        errors.append(f"{path}.name: expected a name, got {name!r}")
+    if not isinstance(family.get("help"), str):
+        errors.append(f"{path}.help: expected a string")
+    kind = family.get("type")
+    if kind not in _METRIC_KINDS:
+        errors.append(
+            f"{path}.type: expected one of {_METRIC_KINDS}, got {kind!r}"
+        )
+        return
+    label_names = family.get("label_names")
+    if not isinstance(label_names, list) or any(
+        not isinstance(label, str) for label in label_names
+    ):
+        errors.append(f"{path}.label_names: expected a list of strings")
+        label_names = []
+    samples = family.get("samples")
+    if not isinstance(samples, list):
+        errors.append(f"{path}.samples: expected a list")
+        return
+    for i, sample in enumerate(samples):
+        _check_metric_sample(
+            sample, kind, label_names, f"{path}.samples[{i}]", errors
+        )
+
+
+def _check_metric_sample(
+    sample: object,
+    kind: str,
+    label_names: list[str],
+    path: str,
+    errors: list[str],
+) -> None:
+    """Validate one sample: labels plus the kind-dependent payload."""
+    if not isinstance(sample, dict):
+        errors.append(f"{path}: expected an object, got {sample!r}")
+        return
+    labels = sample.get("labels")
+    if (
+        not isinstance(labels, dict)
+        or set(labels) != set(label_names)
+        or any(not isinstance(v, str) for v in labels.values())
+    ):
+        errors.append(
+            f"{path}.labels: expected string labels for {tuple(label_names)}"
+        )
+    if kind != "histogram":
+        _check_number(sample.get("value"), f"{path}.value", errors)
+        return
+    _check_number(sample.get("count"), f"{path}.count", errors, count=True)
+    for key in ("sum", "p50", "p90", "p99"):
+        _check_number(sample.get(key), f"{path}.{key}", errors)
+    buckets = sample.get("buckets")
+    if not isinstance(buckets, list) or not buckets:
+        errors.append(f"{path}.buckets: expected a non-empty list")
+        return
+    previous = -1.0
+    for j, bucket in enumerate(buckets):
+        bpath = f"{path}.buckets[{j}]"
+        if (
+            not isinstance(bucket, list)
+            or len(bucket) != 2
+            or not isinstance(bucket[0], str)
+        ):
+            errors.append(f"{bpath}: expected a [bound, cumulative] pair")
+            continue
+        _check_number(bucket[1], f"{bpath}[1]", errors, count=True)
+        if isinstance(bucket[1], (int, float)) and not isinstance(
+            bucket[1], bool
+        ):
+            if bucket[1] < previous:
+                errors.append(f"{bpath}: cumulative count decreased")
+            previous = bucket[1]
+    last = buckets[-1]
+    if isinstance(last, list) and last and last[0] != "+Inf":
+        errors.append(f"{path}.buckets: last bound must be '+Inf'")
 
 
 def render_prometheus(

@@ -4,9 +4,8 @@ The first subsystem above the process boundary: an ``asyncio`` TCP
 server (:mod:`~repro.serve.server`) speaking a binary length-prefixed
 frame protocol (:mod:`~repro.serve.protocol`) over a multi-tenant
 estimator registry (:mod:`~repro.serve.tenants`), with a pipelining
-client (:mod:`~repro.serve.client`), a load generator that doubles as
-the concurrency test harness (:mod:`~repro.serve.loadgen`), and the
-``repro serve`` command (:mod:`~repro.serve.cli`). Protocol spec and
+client (:mod:`~repro.serve.client`) and the ``repro serve`` command
+(:mod:`~repro.serve.cli`). Protocol spec and
 deployment notes live in ``docs/serving.md``.
 
 Names resolve on first use (PEP 562): ``repro serve`` loads the server

@@ -170,6 +170,15 @@ async def _run(args: "argparse.Namespace") -> int:
         chunk_size=args.chunk,
         max_frame=args.max_frame,
     )
+    # Handlers go in before the first line is printed: a harness may
+    # signal as soon as it reads that line, and must get a drain.
+    loop = asyncio.get_running_loop()
+    stopping = asyncio.Event()
+    for signal_number in (signal.SIGINT, signal.SIGTERM):
+        try:
+            loop.add_signal_handler(signal_number, stopping.set)
+        except (NotImplementedError, RuntimeError):  # pragma: no cover
+            pass  # non-Unix event loop: Ctrl-C still raises KeyboardInterrupt
     host, port = await server.start(args.host, args.port)
     if server.last_generation:
         print(
@@ -179,14 +188,6 @@ async def _run(args: "argparse.Namespace") -> int:
         )
     # Machine-parseable: harnesses read this line to learn the port.
     print(f"serving {args.estimator} on {host}:{port}", flush=True)
-
-    loop = asyncio.get_running_loop()
-    stopping = asyncio.Event()
-    for signal_number in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(signal_number, stopping.set)
-        except (NotImplementedError, RuntimeError):  # pragma: no cover
-            pass  # non-Unix event loop: Ctrl-C still raises KeyboardInterrupt
     serving = asyncio.ensure_future(server.serve_forever())
     try:
         await stopping.wait()

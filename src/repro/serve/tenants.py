@@ -25,7 +25,8 @@ multi-tenant state rides one atomic
 Tenants are sorted by encoded name, making the byte image a canonical
 function of the logical state (dict insertion order cannot leak in);
 ``from_bytes`` rejects truncation, trailing bytes, unsorted or
-duplicate tenants, and any config/blob mismatch rather than restore a
+duplicate tenants, more tenants than ``max_tenants``, and any pool the
+config would not have built rather than restore a
 silently-wrong registry.
 """
 
@@ -115,6 +116,32 @@ class TenantConfig:
             design_cardinality=self.design_cardinality,
             seed=self.tenant_seed(tenant),
         )
+
+
+def _check_built_by(config: TenantConfig, name: str, pool: ShardPool) -> None:
+    """Raise ``ValueError`` unless ``config.build_pool(name)`` could be ``pool``.
+
+    Shard count and memory are compared before anything is built, so a
+    config that the bytes cannot back allocates nothing: every estimator
+    uses at least 0.93 of the budget it is built for.
+    """
+    if pool.num_shards != config.shards:
+        problem = f"{pool.num_shards} shards, the config builds {config.shards}"
+    elif 2 * pool.memory_bits() < config.memory_bits:
+        problem = (
+            f"{pool.memory_bits()} bits cannot hold the config's "
+            f"{config.memory_bits}-bit budget"
+        )
+    else:
+        try:
+            config.build_pool(name)._check_mergeable(pool)
+            return
+        except (TypeError, ValueError) as error:
+            problem = str(error)
+    raise ValueError(
+        f"corrupt tenant registry: pool {name!r} does not match the "
+        f"config: {problem}"
+    )
 
 
 @register("checkpoint")
@@ -216,6 +243,11 @@ class TenantRegistry:
             ) from error
         raw, offset = take(data, offset, _COUNT.size, what, "tenant count")
         (count,) = _COUNT.unpack(raw)
+        if count > config.max_tenants:
+            raise ValueError(
+                f"corrupt tenant registry: {count} tenants exceed "
+                f"max_tenants {config.max_tenants}"
+            )
         registry = cls(config)
         previous: bytes | None = None
         for __ in range(count):
@@ -233,8 +265,9 @@ class TenantRegistry:
             blob, offset = take(
                 data, offset, _BLOB.unpack(raw)[0], what, "pool blob"
             )
-            registry.pools[name_raw.decode("utf-8")] = ShardPool.from_bytes(
-                blob
-            )
+            name = name_raw.decode("utf-8")
+            pool = ShardPool.from_bytes(blob)
+            _check_built_by(config, name, pool)
+            registry.pools[name] = pool
         require_consumed(data, offset, what)
         return registry

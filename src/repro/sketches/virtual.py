@@ -37,7 +37,6 @@ import numpy as np
 
 from repro.bitvector import BitVector
 from repro.estimators.hll import MAX_RANK, alpha
-from repro.kernels import scatter_max
 from repro.hashing import (
     GeometricHash,
     UniformHash,
@@ -199,7 +198,7 @@ class VirtualHyperLogLog:
             )
             + 1
         ).astype(np.uint8)
-        scatter_max(self._registers, slots, ranks)
+        np.maximum.at(self._registers, slots, ranks)
 
     def _raw(self, registers: np.ndarray) -> float:
         count = registers.size

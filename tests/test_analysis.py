@@ -16,8 +16,6 @@ import json
 import textwrap
 from pathlib import Path
 
-import pytest
-
 from repro.analysis import analyze_paths, all_rules
 from repro.analysis.cli import analyze_main
 
@@ -510,42 +508,3 @@ class TestShippedTree:
             "analysis.",
         ):
             assert family in out
-
-
-# ----------------------------------------------------------------------
-# bench snapshot schema (tools/bench_snapshot.py)
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def bench_snapshot_module():
-    import importlib.util
-
-    spec = importlib.util.spec_from_file_location(
-        "bench_snapshot", REPO_ROOT / "tools" / "bench_snapshot.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-class TestBenchSnapshotSchema:
-    def test_shipped_snapshot_validates(self, bench_snapshot_module):
-        path = REPO_ROOT / "BENCH_kernels.json"
-        snapshot = json.loads(path.read_text(encoding="utf-8"))
-        assert bench_snapshot_module.validate_snapshot(snapshot) == []
-
-    def test_corruptions_rejected_with_paths(self, bench_snapshot_module):
-        path = REPO_ROOT / "BENCH_kernels.json"
-        snapshot = json.loads(path.read_text(encoding="utf-8"))
-        snapshot["stream_items"] = -5
-        snapshot["scatter"]["selected"] = "magic"
-        del snapshot["criteria"]["threshold"]
-        snapshot["engine"][0]["pool_mdps"] = float("nan")
-        problems = bench_snapshot_module.validate_snapshot(snapshot)
-        joined = "\n".join(problems)
-        assert "snapshot.stream_items" in joined
-        assert "snapshot.scatter.selected" in joined
-        assert "snapshot.criteria: missing required key 'threshold'" in joined
-        assert "snapshot.engine[0].pool_mdps" in joined
-
-    def test_non_object_rejected(self, bench_snapshot_module):
-        assert bench_snapshot_module.validate_snapshot([]) != []

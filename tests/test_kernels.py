@@ -1,28 +1,22 @@
-"""Unit tests of the kernels layer: hash planes and scatter kernels.
+"""Unit tests of the kernels layer: hash planes.
 
 The estimator contract tests assert the end-to-end guarantee (plane
 recording ≡ scalar recording); here the layer's own pieces are pinned
 directly: plane arrays match the hashing-module oracles, memoization
-returns the same object, ``take``/``prefetch`` gather instead of
-re-hashing, and both scatter strategies (indexed ``ufunc.at`` and the
-sorted ``reduceat`` fallback) stay exactly interchangeable.
+returns the same object, and ``take``/``prefetch`` gather instead of
+re-hashing.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.hashing import GeometricHash, UniformHash
 from repro.kernels import (
     HashPlane,
     geometric_request,
     positions_request,
-    scatter_max,
-    scatter_or,
     uniform_request,
 )
-from repro.kernels import scatter as scatter_module
 from repro.streams import distinct_items
 
 VALUES = distinct_items(4096, seed=13)
@@ -96,76 +90,6 @@ class TestHashPlane:
         child = plane.take(np.arange(16))
         child.uniform(8)[:] = 0
         assert plane.uniform(8)[:16].any()  # parent untouched
-
-
-class TestScatterKernels:
-    indices = st.lists(st.integers(0, 63), min_size=1, max_size=300)
-
-    @settings(deadline=None, max_examples=50)
-    @given(indices=indices, data=st.data())
-    def test_strategies_agree_max(self, indices, data):
-        idx = np.asarray(indices, dtype=np.uint64)
-        values = np.asarray(
-            data.draw(
-                st.lists(
-                    st.integers(0, 255),
-                    min_size=len(indices),
-                    max_size=len(indices),
-                )
-            ),
-            dtype=np.uint8,
-        )
-        fast = np.random.default_rng(0).integers(
-            0, 10, size=64, dtype=np.uint64
-        ).astype(np.uint8)
-        slow = fast.copy()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(scatter_module, "_FAST_UFUNC_AT", True)
-            scatter_max(fast, idx, values)
-            patch.setattr(scatter_module, "_FAST_UFUNC_AT", False)
-            scatter_max(slow, idx, values)
-        assert np.array_equal(fast, slow)
-
-    @settings(deadline=None, max_examples=50)
-    @given(indices=indices, data=st.data())
-    def test_strategies_agree_or(self, indices, data):
-        idx = np.asarray(indices, dtype=np.uint64)
-        values = np.asarray(
-            data.draw(
-                st.lists(
-                    st.integers(0, 2**32 - 1),
-                    min_size=len(indices),
-                    max_size=len(indices),
-                )
-            ),
-            dtype=np.uint32,
-        )
-        fast = np.zeros(64, dtype=np.uint32)
-        slow = np.zeros(64, dtype=np.uint32)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(scatter_module, "_FAST_UFUNC_AT", True)
-            scatter_or(fast, idx, values)
-            patch.setattr(scatter_module, "_FAST_UFUNC_AT", False)
-            scatter_or(slow, idx, values)
-        assert np.array_equal(fast, slow)
-
-    def test_matches_sequential_application(self):
-        rng = np.random.default_rng(4)
-        idx = rng.integers(0, 512, size=5000, dtype=np.uint64)
-        values = rng.integers(0, 32, size=5000).astype(np.uint8)
-        target = np.zeros(512, dtype=np.uint8)
-        scatter_max(target, idx, values)
-        expected = np.zeros(512, dtype=np.uint8)
-        for i, v in zip(idx.tolist(), values.tolist()):
-            if v > expected[i]:
-                expected[i] = v
-        assert np.array_equal(target, expected)
-
-    def test_empty_scatter_is_noop(self):
-        target = np.arange(8, dtype=np.uint8)
-        scatter_max(target, np.array([], dtype=np.uint64), np.array([], dtype=np.uint8))
-        scatter_or(target, np.array([], dtype=np.uint64), np.array([], dtype=np.uint8))
-        assert np.array_equal(target, np.arange(8, dtype=np.uint8))
 
 
 class TestPartitionerPlanes:

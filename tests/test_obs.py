@@ -37,6 +37,7 @@ from repro.obs import (
     snapshot,
     write_snapshot,
 )
+from repro.obs.render import validate_metrics_snapshot
 from repro.streams import distinct_items
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -277,9 +278,7 @@ class TestRender:
         with pytest.raises(ValueError, match="malformed"):
             parse_prometheus("justonetoken\n")
 
-    def test_write_snapshot_atomic_and_valid(
-        self, tmp_path, bench_snapshot_module
-    ):
+    def test_write_snapshot_atomic_and_valid(self, tmp_path):
         path = tmp_path / "metrics.json"
         document = write_snapshot(
             _sample_registry(), path, run={"records_submitted": 10}
@@ -289,17 +288,17 @@ class TestRender:
         assert on_disk == json.loads(json.dumps(document))
         assert on_disk["generated_by"] == "repro.obs"
         assert on_disk["run"] == {"records_submitted": 10}
-        assert bench_snapshot_module.validate_metrics_snapshot(on_disk) == []
+        assert validate_metrics_snapshot(on_disk) == []
 
-    def test_metrics_schema_rejects_corruption(self, bench_snapshot_module):
+    def test_metrics_schema_rejects_corruption(self):
         document = snapshot(_sample_registry())
         document["metrics"][0]["type"] = "summary"
         document["generated_by"] = "elsewhere"
-        problems = bench_snapshot_module.validate_metrics_snapshot(document)
+        problems = validate_metrics_snapshot(document)
         joined = "\n".join(problems)
         assert "generated_by" in joined
         assert ".type" in joined
-        assert bench_snapshot_module.validate_metrics_snapshot([]) != []
+        assert validate_metrics_snapshot([]) != []
 
 
 class TestSnapshotter:
@@ -472,9 +471,7 @@ class TestCatalog:
 # CLI surfaces
 # ----------------------------------------------------------------------
 class TestCLI:
-    def test_engine_metrics_out_schema_valid(
-        self, tmp_path, capsys, bench_snapshot_module
-    ):
+    def test_engine_metrics_out_schema_valid(self, tmp_path, capsys):
         from repro.engine.cli import engine_main
 
         path = tmp_path / "metrics.json"
@@ -488,7 +485,7 @@ class TestCLI:
         assert get_registry().enabled is False
 
         document = json.loads(path.read_text())
-        assert bench_snapshot_module.validate_metrics_snapshot(document) == []
+        assert validate_metrics_snapshot(document) == []
         run = document["run"]
         # Duplication 1.0: the stream is fully distinct -> the pipeline
         # accounting must reproduce the exact oracle count.
@@ -552,7 +549,7 @@ class TestOverheadGuard:
     def test_bench_obs_snapshot_criteria(self, bench_snapshot_module):
         path = REPO_ROOT / "BENCH_obs.json"
         document = json.loads(path.read_text())
-        assert bench_snapshot_module.validate_obs_snapshot(document) == []
+        assert bench_snapshot_module.check("obs", document) == []
 
         modes = document["modes"]
         baseline = document["baseline_mdps"]

@@ -556,3 +556,13 @@ class TestHeadCases:
         )
         with pytest.raises(ValueError, match="largest supported m // T"):
             SelfMorphingBitmap.from_bytes(data)
+
+    def test_registry_whose_config_outgrows_its_pool(self):
+        # Restore compares each pool with what the config would build;
+        # a config the pool's bytes cannot back must build nothing.
+        registry = TenantRegistry(TenantConfig(memory_bits=2**50))
+        registry.pools["t"] = TenantConfig(memory_bits=256).build_pool("t")
+        data = registry.to_bytes()
+        assert _peak_bytes(TenantRegistry.from_bytes, data) < 1 << 20
+        with pytest.raises(ValueError, match="does not match the config"):
+            TenantRegistry.from_bytes(data)

@@ -12,9 +12,8 @@ An ephemeral :class:`~repro.serve.server.CardinalityServer` on
 - protocol-level misbehavior over a live socket: garbage payloads get
   an ERROR frame while the connection keeps serving, broken framing
   gets an ERROR frame and a close;
-- graceful stop + resume round-trips the whole registry bit-exactly;
-- the load generator runs against the real server (it is both the
-  benchmark driver and this suite's concurrency harness).
+- graceful stop + resume round-trips the whole registry bit-exactly,
+  and a registry image restores only pools its config would build.
 
 No pytest-asyncio in the toolchain: each test wraps its coroutine in
 ``asyncio.run`` — event-loop lifecycle is part of what is under test.
@@ -32,10 +31,10 @@ import pytest
 from repro.core.theory import smb_error_bound
 from repro.core.tuning import optimal_threshold
 from repro.engine.pipeline import IngestPipeline
+from repro.engine.shards import ShardPool
 from repro.engine.recovery import CheckpointManager, RecoveryError, RetryPolicy
 from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.loadgen import run_load
 from repro.serve.server import CardinalityServer, _IngestGate
 from repro.serve.tenants import TenantConfig, TenantRegistry
 
@@ -675,44 +674,29 @@ def test_resume_with_mismatched_config_is_refused(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# The loadgen harness against a real server
+# Registry restore: every pool must be one the config would have built
 # ----------------------------------------------------------------------
 
-def test_loadgen_end_to_end(tmp_path):
-    async def scenario():
-        server = CardinalityServer(
-            make_config(design_cardinality=500_000),
-            checkpoint_manager=manager(tmp_path),
-        )
-        host, port = await start_server(server)
-        try:
-            return await run_load(
-                host,
-                port,
-                tenants=2,
-                connections=2,
-                record_frames=6,
-                batch_size=4096,
-                estimate_requests=500,
-                window=32,
-            )
-        finally:
-            await server.stop()
+def test_registry_restore_rejects_pools_the_config_would_not_build():
+    config = make_config()  # 1-shard SMB tenants
+    for foreign in (
+        ShardPool.of("HLL", 4096, 4, seed=3),  # another shape entirely
+        ShardPool.of(  # another class, same shard count and seeds
+            "HLL", MEMORY_BITS, 1, design_cardinality=DESIGN,
+            seed=config.tenant_seed("t"),
+        ),
+        config.build_pool("u"),  # another tenant's seeds
+    ):
+        registry = TenantRegistry(config)
+        registry.pools["t"] = foreign
+        with pytest.raises(ValueError, match="does not match the config"):
+            TenantRegistry.from_bytes(registry.to_bytes())
 
-    result = asyncio.run(scenario())
-    assert result["record"]["keys"] == 2 * 6 * 4096
-    assert result["record"]["keys_per_second"] > 0
-    assert result["estimate"]["requests"] == 2 * 500
-    assert result["estimate"]["qps"] > 0
-    latency = result["estimate"]["latency_seconds"]
-    assert 0 <= latency["p50"] <= latency["p90"] <= latency["p99"]
-    assert result["accuracy"]["max_relative_error"] <= theorem3_tolerance(
-        6 * 4096 * 2 // 2, confidence=0.95
-    )
-    server_section = result["server"]
-    assert server_section["records_submitted"] == 2 * 6 * 4096
-    assert (
-        server_section["records_submitted"]
-        == server_section["records_applied"]
-        + server_section["records_dropped"]
-    )
+
+def test_registry_restore_rejects_more_tenants_than_the_limit():
+    config = make_config(max_tenants=1)
+    registry = TenantRegistry(config)
+    for name in ("a", "b"):
+        registry.pools[name] = config.build_pool(name)
+    with pytest.raises(ValueError, match="exceed max_tenants 1"):
+        TenantRegistry.from_bytes(registry.to_bytes())

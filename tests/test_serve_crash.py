@@ -36,7 +36,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.engine.recovery import RetryPolicy
+from repro.engine.recovery import CheckpointManager, RetryPolicy
 from repro.serve.client import RetryingClient, ServeClient
 from repro.serve.tenants import TenantConfig, TenantRegistry
 from repro.testing.faults import CRASH_EXIT_CODE
@@ -128,6 +128,23 @@ def retry_policy() -> RetryPolicy:
     return RetryPolicy(
         max_attempts=40, base_delay=0.1, multiplier=1.5, max_delay=1.0
     )
+
+
+def test_sigterm_at_the_serving_line_drains(tmp_path):
+    """A SIGTERM sent the moment the 'serving' line is read still gets the
+    graceful path: exit 0, a 'drained' line, one final generation."""
+    process = start_server(tmp_path, free_port(), resume=False, faults=None)
+    process.send_signal(signal.SIGTERM)
+    try:
+        output, __ = process.communicate(timeout=60)
+    except subprocess.TimeoutExpired:  # pragma: no cover - hang guard
+        process.kill()
+        process.communicate(timeout=10)
+        raise
+    assert process.returncode == 0, output
+    assert "drained" in output
+    manager = CheckpointManager(tmp_path / "ckpts", sync_directory=False)
+    assert [g.generation for g in manager.generations()] == [1]
 
 
 def test_kill_and_resume_bit_exact(tmp_path):

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from repro import SelfMorphingBitmap
 from repro.core.smb import round_constants
+from repro.core.theory import smb_error_bound
+from repro.core.tuning import smb_max_estimate
 from repro.streams import distinct_items
 
 
@@ -39,14 +41,20 @@ class TestConstruction:
 
     @pytest.mark.parametrize(
         "m, threshold",
-        [(10_000, t) for t in range(1, 10)] + [(2**20, 1024)],
+        [(10_000, t) for t in range(1, 10)] + [(2**20, 1024), (1024, 1)],
     )
     def test_too_many_rounds_is_a_value_error(self, m, threshold):
-        """Round i scales by 2^i·m; past float64's range __init__ used to
-        raise OverflowError from math.ldexp, which MERGE_IN answered as an
-        internal error rather than a bad payload."""
-        with pytest.raises(ValueError, match="largest supported m // T"):
-            SelfMorphingBitmap(m, threshold=threshold)
+        """Round i scales by 2^i·m; past float64's range math.ldexp raises
+        OverflowError, which MERGE_IN answered as an internal error rather
+        than a bad payload. ``round_constants`` checks the range for the
+        constructor and the theory helpers alike."""
+        for call in (
+            lambda: SelfMorphingBitmap(m, threshold=threshold),
+            lambda: smb_max_estimate(m, threshold),
+            lambda: smb_error_bound(0.1, 1e6, m, threshold),
+        ):
+            with pytest.raises(ValueError, match="largest supported m // T"):
+                call()
 
     @given(data=st.data())
     def test_constructor_domain(self, data):
@@ -70,6 +78,8 @@ class TestConstruction:
         assert math.isinf(round_constants(1000, 100)[-1])
         # Not divisible: a partial last round keeps it finite.
         assert math.isfinite(round_constants(1000, 99)[-1])
+        # m // T = 1000 is within float64's 1023 - log2(m) rounds.
+        assert math.isfinite(smb_max_estimate(1000, 1))
 
 
 class TestRoundProgression:

@@ -39,7 +39,6 @@ NOT_SERVED = (
     "repro.analysis",
     "repro.agg",
     "repro.serve.client",
-    "repro.serve.loadgen",
 )
 
 

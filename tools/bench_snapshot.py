@@ -1,71 +1,52 @@
-"""One-shot performance snapshot of the kernels layer → BENCH_kernels.json.
+"""Performance snapshots of the stack: ``BENCH_<section>.json`` at the repo root.
 
-Runs the recording/query microbenchmarks programmatically — the same
-operations ``benchmarks/bench_substrates.py``, ``bench_kernels.py`` and
-``bench_engine_scaling.py`` time under pytest-benchmark — and writes a
-single machine-readable snapshot at the repo root so the numbers travel
-with the PR (and as a CI artifact).
+One table, :data:`SECTIONS`, declares four snapshots. Each row names its
+schema, its measurement and its bar once; every row is written by one
+path and checked by another:
 
-Sections of the snapshot:
-
-- ``recording`` — per-estimator throughput (Mdps) of the vectorized
-  plane path on a 10^6-item distinct stream, next to the base-class
-  scalar reference loop (timed on a slice; pure Python is ~100× slower)
-  and the resulting speedup. The acceptance criterion of the kernels PR
-  is ``speedup >= 5`` for SMB, MRB and at least one HLL variant.
-- ``query`` — per-estimator query latency after the 10^6-item load.
-- ``scatter`` — both scatter strategies head to head on 10^6 updates.
-- ``plane`` — hash-plane prefetch / gather / partition costs per chunk.
-- ``engine`` — ShardPool ingest throughput vs shard count.
+- ``kernels`` — per-estimator recording throughput (Mdps) of the
+  vectorized plane path on a 10^6-item distinct stream, next to the
+  base-class scalar reference loop (timed on a slice; pure Python is
+  ~100× slower), query latency after the load, hash-plane costs per
+  chunk and ShardPool ingest vs shard count. Bar: plane-path speedup
+  >= 5× for SMB, MRB and HLL++.
+- ``obs`` — SMB recording with metrics disabled and enabled, against
+  the ``BENCH_kernels.json`` baseline. Bar: < 2% and < 5% regression.
+- ``serve`` — an in-process :class:`~repro.serve.CardinalityServer`
+  driven through :class:`~repro.serve.ServeClient` over real sockets:
+  RECORD keys/s and ESTIMATE QPS. Bar: >= 1M keys/s and >= 50k QPS.
+- ``wire`` — every wire-frameable sketch at a realistic fill through
+  :func:`repro.wire.encode_sketch`: raw vs frame bytes, codec, encode
+  and decode time. Bar: frames of the >= 4-bit register families are
+  >= 1.2× smaller than raw ``to_bytes``.
 
 Usage (from the repo root)::
 
-    PYTHONPATH=src python tools/bench_snapshot.py [--out BENCH_kernels.json]
+    PYTHONPATH=src python tools/bench_snapshot.py kernels obs
+    PYTHONPATH=src python tools/bench_snapshot.py --check BENCH_*.json
 
-``REPRO_SCALE`` scales the stream sizes down for smoke runs, exactly as
-it does for the experiment harness.
-
-The module also owns two observability-related validators/writers:
-
-- ``--check-metrics FILE`` validates a ``repro.obs`` JSON metrics
-  snapshot (as written by ``repro engine --metrics-out``) against
-  :func:`validate_metrics_snapshot` — used by the CI obs job;
-- ``--obs-out BENCH_obs.json`` measures SMB recording throughput with
-  metrics disabled and enabled against the ``BENCH_kernels.json``
-  baseline and records both modes plus the overhead criteria
-  (disabled < 2% regression, enabled < 5%), which
-  ``tests/test_obs.py`` asserts as the overhead guard.
-
-And the serving-layer pair:
-
-- ``--serve-out BENCH_serve.json`` starts an in-process
-  :class:`repro.serve.CardinalityServer` on an ephemeral port, drives
-  it with :func:`repro.serve.loadgen.run_load` over real sockets, and
-  records the wire-level RECORD/ESTIMATE throughput next to the serve
-  PR's acceptance bars (ESTIMATE >= 50k QPS, RECORD >= 1M keys/s);
-- ``--check-serve FILE`` validates such a snapshot against
-  :func:`validate_serve_snapshot` — used by the CI serve-smoke job.
-
-And the wire-format pair:
-
-- ``--wire-out BENCH_wire.json`` encodes every wire-registry sketch at
-  a realistic fill through :func:`repro.wire.encode_sketch`, recording
-  raw vs frame bytes, the selected codec, the compression ratio and
-  encode/decode throughput, plus the wire PR's acceptance criterion
-  (compact frames beat raw ``to_bytes`` by >= 1.2x on the >= 4-bit
-  register families);
-- ``--check-wire FILE`` validates such a snapshot and re-enforces the
-  register-family compression bar — used by the CI wire-bench job.
+Writing measures the named sections in table order (``obs`` reads the
+``kernels`` baseline), refuses a snapshot that fails its own schema and
+writes one that misses its bar with a warning. ``--check`` takes the
+section from the ``BENCH_<section>.json`` file name, validates the
+schema, recomputes ``criteria`` from the file's own numbers, and
+requires it to equal the recorded ``criteria`` with ``pass`` true.
+``REPRO_SCALE`` scales every stream down for smoke runs, exactly as it
+does for the experiment harness.
 """
 
 from __future__ import annotations
 
 import argparse
+import asyncio
 import json
+import math
 import platform
 import sys
+import tempfile
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -78,56 +59,60 @@ from repro.bench.runner import (
     time_recording,
 )
 from repro.engine import ShardPool
+from repro.engine.partition import Partitioner
 from repro.kernels import (
     HashPlane,
     geometric_request,
     positions_request,
-    scatter_max,
     uniform_request,
 )
-from repro.kernels import scatter as scatter_module
-from repro.engine.partition import Partitioner
 from repro.streams import distinct_items
 
+ROOT = Path(__file__).resolve().parent.parent
 MEMORY_BITS = 5_000
-HEADLINE = ("SMB", "MRB", "HLL++")  # the acceptance-criterion trio
+HEADLINE = ("SMB", "MRB", "HLL++")  # the kernels bar's trio
+MIN_SPEEDUP = 5.0
+MAX_DISABLED_REGRESSION = 0.02
+MAX_ENABLED_REGRESSION = 0.05
+MIN_ESTIMATE_QPS = 50_000.0
+MIN_RECORD_KEYS_PER_SECOND = 1_000_000.0
+MIN_REGISTER_FAMILY_RATIO = 1.2
 
 
 # ----------------------------------------------------------------------
-# Snapshot schema
+# Snapshot schemas
 # ----------------------------------------------------------------------
-# BENCH_kernels.json is consumed by humans diffing PRs and by the CI
-# artifact pipeline; a malformed snapshot (missing section, NaN timing,
-# negative throughput) should fail the writer loudly, not skew a later
-# comparison silently. The schema language is deliberately tiny:
+# BENCH files are read by humans diffing PRs and by the CI artifact
+# pipeline; a malformed snapshot (missing section, NaN timing, negative
+# throughput) should fail loudly, not skew a later comparison silently.
+# The schema language is deliberately tiny:
 #
-#   str / bool                 exact type
+#   str / bool / dict          exact type (a str also non-blank)
 #   "number" / "count"         finite float-or-int; count also >= 0
 #   "speedup"                  number or null (scalar reference may be 0)
 #   {"__keys__": subschema}    dict with arbitrary keys, uniform values
 #   {fixed: subschema, ...}    dict with exactly these required keys
 #   [subschema]                non-empty list, uniform element schema
 #   ("a", "b")                 string enum
+#
+# Each section's criteria function declares its ``criteria`` object, so
+# the schemas only ask for a dict there: a snapshot's recorded criteria
+# must equal what the function gives for the snapshot's own numbers.
 
-_RECORDING_ROW = {
-    "batch_mdps": "count",
-    "scalar_mdps": "count",
-    "speedup": "speedup",
-}
+_PROVENANCE = {"generated_by": str, "python": str, "numpy": str}
 
-SNAPSHOT_SCHEMA = {
-    "generated_by": str,
-    "python": str,
-    "numpy": str,
+KERNELS_SCHEMA = {
+    **_PROVENANCE,
     "stream_items": "count",
     "scalar_reference_items": "count",
-    "recording": {"__keys__": _RECORDING_ROW},
-    "query": {"__keys__": {"seconds": "count"}},
-    "scatter": {
-        "max_ufunc_at_ms": "count",
-        "max_reduceat_ms": "count",
-        "selected": ("ufunc_at", "reduceat"),
+    "recording": {
+        "__keys__": {
+            "batch_mdps": "count",
+            "scalar_mdps": "count",
+            "speedup": "speedup",
+        }
     },
+    "query": {"__keys__": {"seconds": "count"}},
     "plane": {
         "chunk_items": "count",
         "prefetch_ms": "count",
@@ -138,21 +123,82 @@ SNAPSHOT_SCHEMA = {
     "engine": [
         {"estimator": str, "shards": "count", "pool_mdps": "count"}
     ],
-    "criteria": {
-        "headline_speedups": {"__keys__": "speedup"},
-        "threshold": "number",
-        "pass": bool,
+    "criteria": dict,
+}
+
+_OBS_MODE = {
+    "mdps": "count",
+    "seconds": "count",
+    "regression_vs_baseline": "number",
+}
+
+OBS_SCHEMA = {
+    **_PROVENANCE,
+    "stream_items": "count",
+    "estimator": str,
+    "baseline_mdps": "count",
+    "baseline_source": str,
+    "modes": {"disabled": _OBS_MODE, "enabled": _OBS_MODE},
+    "criteria": dict,
+}
+
+SERVE_SCHEMA = {
+    **_PROVENANCE,
+    "estimator": str,
+    "load": {
+        "config": {
+            "tenants": "count",
+            "connections": "count",
+            "record_frames_per_connection": "count",
+            "batch_size": "count",
+            "estimate_requests_per_connection": "count",
+            "pipeline_window": "count",
+        },
+        "record": {
+            "keys": "count",
+            "seconds": "count",
+            "keys_per_second": "count",
+        },
+        "estimate": {
+            "requests": "count",
+            "seconds": "count",
+            "qps": "count",
+            "latency_seconds": {"p50": "count", "p90": "count", "p99": "count"},
+        },
+        "accuracy": {"tenants": "count", "max_relative_error": "count"},
+        "server": {
+            "generation": "count",
+            "records_submitted": "count",
+            "records_applied": "count",
+            "records_dropped": "count",
+        },
     },
+    "criteria": dict,
+}
+
+WIRE_SCHEMA = {
+    **_PROVENANCE,
+    "stream_items": "count",
+    "memory_bits": "count",
+    "sketches": {
+        "__keys__": {
+            "codec": ("raw", "huffman", "zrle"),
+            "raw_bytes": "count",
+            "frame_bytes": "count",
+            "ratio": "count",
+            "encode_ms": "count",
+            "decode_ms": "count",
+        }
+    },
+    "criteria": dict,
 }
 
 
 def _check(value, schema, path: str, errors: list[str]) -> None:
-    import math
-
     def fail(expected: str) -> None:
         errors.append(f"{path}: expected {expected}, got {value!r}")
 
-    if schema is str or schema is bool:
+    if schema in (str, bool, dict):
         if not isinstance(value, schema) or (
             schema is str and not value.strip()
         ):
@@ -197,526 +243,9 @@ def _check(value, schema, path: str, errors: list[str]) -> None:
         raise TypeError(f"bad schema node at {path}: {schema!r}")
 
 
-def validate_snapshot(snapshot: object) -> list[str]:
-    """Validate a snapshot dict; returns a list of problems (empty = ok)."""
-    errors: list[str] = []
-    _check(snapshot, SNAPSHOT_SCHEMA, "snapshot", errors)
-    return errors
-
-
 # ----------------------------------------------------------------------
-# repro.obs metrics-snapshot schema (``--check-metrics``)
+# kernels
 # ----------------------------------------------------------------------
-# The JSON document written by ``repro engine --metrics-out`` (and by
-# ``repro.obs.render.write_snapshot`` generally) is heterogeneous:
-# counter/gauge samples carry ``value`` while histogram samples carry
-# ``count``/``sum``/``buckets``/quantiles, so the shape depends on the
-# family's ``type``. That dispatch lives in a dedicated walker which
-# reuses ``_check`` for the uniform leaves.
-
-_METRIC_KINDS = ("counter", "gauge", "histogram")
-
-
-def _check_metric_family(family: object, path: str, errors: list[str]) -> None:
-    """Validate one family entry of a metrics snapshot."""
-    if not isinstance(family, dict):
-        errors.append(f"{path}: expected an object, got {family!r}")
-        return
-    for key in {"name", "type", "help", "label_names", "samples"} - family.keys():
-        errors.append(f"{path}: missing required key {key!r}")
-    _check(family.get("name"), str, f"{path}.name", errors)
-    if not isinstance(family.get("help"), str):
-        errors.append(f"{path}.help: expected a string")
-    kind = family.get("type")
-    if kind not in _METRIC_KINDS:
-        errors.append(
-            f"{path}.type: expected one of {_METRIC_KINDS}, got {kind!r}"
-        )
-        return
-    label_names = family.get("label_names")
-    if not isinstance(label_names, list) or any(
-        not isinstance(name, str) for name in label_names
-    ):
-        errors.append(f"{path}.label_names: expected a list of strings")
-        label_names = []
-    samples = family.get("samples")
-    if not isinstance(samples, list):
-        errors.append(f"{path}.samples: expected a list")
-        return
-    for i, sample in enumerate(samples):
-        _check_metric_sample(
-            sample, kind, label_names, f"{path}.samples[{i}]", errors
-        )
-
-
-def _check_metric_sample(
-    sample: object,
-    kind: str,
-    label_names: list[str],
-    path: str,
-    errors: list[str],
-) -> None:
-    """Validate one sample: labels plus the kind-dependent payload."""
-    if not isinstance(sample, dict):
-        errors.append(f"{path}: expected an object, got {sample!r}")
-        return
-    labels = sample.get("labels")
-    if (
-        not isinstance(labels, dict)
-        or set(labels) != set(label_names)
-        or any(not isinstance(v, str) for v in labels.values())
-    ):
-        errors.append(
-            f"{path}.labels: expected string labels for {tuple(label_names)}"
-        )
-    if kind != "histogram":
-        _check(sample.get("value"), "number", f"{path}.value", errors)
-        return
-    _check(sample.get("count"), "count", f"{path}.count", errors)
-    for key in ("sum", "p50", "p90", "p99"):
-        _check(sample.get(key), "number", f"{path}.{key}", errors)
-    buckets = sample.get("buckets")
-    if not isinstance(buckets, list) or not buckets:
-        errors.append(f"{path}.buckets: expected a non-empty list")
-        return
-    previous = -1.0
-    for j, bucket in enumerate(buckets):
-        bpath = f"{path}.buckets[{j}]"
-        if (
-            not isinstance(bucket, list)
-            or len(bucket) != 2
-            or not isinstance(bucket[0], str)
-        ):
-            errors.append(f"{bpath}: expected a [bound, cumulative] pair")
-            continue
-        _check(bucket[1], "count", f"{bpath}[1]", errors)
-        if isinstance(bucket[1], (int, float)) and not isinstance(
-            bucket[1], bool
-        ):
-            if bucket[1] < previous:
-                errors.append(f"{bpath}: cumulative count decreased")
-            previous = bucket[1]
-    last = buckets[-1]
-    if isinstance(last, list) and last and last[0] != "+Inf":
-        errors.append(f"{path}.buckets: last bound must be '+Inf'")
-
-
-def validate_metrics_snapshot(document: object) -> list[str]:
-    """Validate a ``repro.obs`` metrics snapshot; returns problems."""
-    errors: list[str] = []
-    if not isinstance(document, dict):
-        return [f"snapshot: expected an object, got {document!r}"]
-    if document.get("generated_by") != "repro.obs":
-        errors.append(
-            "snapshot.generated_by: expected 'repro.obs', got "
-            f"{document.get('generated_by')!r}"
-        )
-    metrics = document.get("metrics")
-    if not isinstance(metrics, list) or not metrics:
-        errors.append("snapshot.metrics: expected a non-empty list")
-        metrics = []
-    for i, family in enumerate(metrics):
-        _check_metric_family(family, f"snapshot.metrics[{i}]", errors)
-    run = document.get("run")
-    if run is not None:
-        if not isinstance(run, dict) or not run:
-            errors.append("snapshot.run: expected a non-empty object")
-        else:
-            for key, value in run.items():
-                _check(value, "number", f"snapshot.run.{key}", errors)
-    for key in sorted(document.keys() - {"generated_by", "metrics", "run"}):
-        errors.append(f"snapshot: unexpected key {key!r}")
-    return errors
-
-
-# ----------------------------------------------------------------------
-# Wire-format snapshot (``--wire-out`` → BENCH_wire.json)
-# ----------------------------------------------------------------------
-
-_WIRE_ROW = {
-    "codec": ("raw", "huffman", "zrle"),
-    "raw_bytes": "count",
-    "frame_bytes": "count",
-    "ratio": "count",
-    "encode_ms": "count",
-    "decode_ms": "count",
-}
-
-WIRE_SNAPSHOT_SCHEMA = {
-    "generated_by": str,
-    "python": str,
-    "numpy": str,
-    "stream_items": "count",
-    "memory_bits": "count",
-    "sketches": {"__keys__": _WIRE_ROW},
-    "criteria": {
-        "register_family_ratios": {"__keys__": "count"},
-        "min_register_family_ratio": "number",
-        "pass": bool,
-    },
-}
-
-#: The wire PR's acceptance bar: entropy coding must beat raw
-#: ``to_bytes`` on the >= 4-bit register families at realistic fills.
-MIN_REGISTER_FAMILY_RATIO = 1.2
-
-
-def validate_wire_snapshot(snapshot: object) -> list[str]:
-    """Validate a BENCH_wire.json dict; returns a list of problems."""
-    errors: list[str] = []
-    _check(snapshot, WIRE_SNAPSHOT_SCHEMA, "snapshot", errors)
-    return errors
-
-
-def check_wire_bars(snapshot: dict) -> list[str]:
-    """Schema plus the register-family compression bar; returns problems."""
-    problems = validate_wire_snapshot(snapshot)
-    if problems:
-        return problems
-    criteria = snapshot["criteria"]
-    ratios = criteria["register_family_ratios"]
-    if not ratios:
-        problems.append("criteria.register_family_ratios is empty")
-    for name, ratio in sorted(ratios.items()):
-        if ratio < MIN_REGISTER_FAMILY_RATIO:
-            problems.append(
-                f"{name}: compression ratio {ratio} < "
-                f"{MIN_REGISTER_FAMILY_RATIO} acceptance bar"
-            )
-    if bool(criteria["pass"]) != (not problems):
-        problems.append(
-            f"criteria.pass is {criteria['pass']} but the checker "
-            f"derives {not problems}"
-        )
-    return problems
-
-
-def _wire_zoo(memory_bits: int, stream_items: int) -> dict:
-    """Loaded instances of every wire-frameable class at realistic fill."""
-    from repro.estimators import RefinedHyperLogLog
-    from repro.estimators.registry import sketch_registry
-
-    items = distinct_items(stream_items, seed=5)
-    zoo = {}
-    for name, cls in sorted(sketch_registry("wire").items()):
-        if cls is ShardPool:
-            sketch = ShardPool.of("HLL", memory_bits, 4, seed=3)
-        elif cls is RefinedHyperLogLog:
-            sketch = cls(memory_bits, seed=3)
-            sketch.learn(distinct_items(5_000, seed=9), 5_000)
-        elif name == "MultiResolutionBitmap":
-            sketch = cls(max(memory_bits // 24, 64), 12, seed=3)
-        elif name == "SelfMorphingBitmap":
-            sketch = cls(memory_bits, threshold=memory_bits // 12, seed=3)
-        elif name == "KMinValues":
-            sketch = cls(512, seed=3)
-        else:
-            sketch = cls(memory_bits, seed=3)
-        sketch.record_many(items)
-        zoo[name] = sketch
-    return zoo
-
-
-def bench_wire(memory_bits: int, stream_items: int) -> dict:
-    """Per-sketch frame size and codec throughput rows."""
-    from repro.wire import decode_sketch, encode_sketch, frame_info
-
-    rows = {}
-    for name, sketch in _wire_zoo(memory_bits, stream_items).items():
-        frame = encode_sketch(sketch)
-        info = frame_info(frame)
-        rows[name] = {
-            "codec": info.codec,
-            "raw_bytes": info.raw_bytes,
-            "frame_bytes": info.frame_bytes,
-            "ratio": round(info.ratio, 3),
-            "encode_ms": round(_time(lambda: encode_sketch(sketch)) * 1e3, 3),
-            "decode_ms": round(_time(lambda: decode_sketch(frame)) * 1e3, 3),
-        }
-    return rows
-
-
-def _write_wire_snapshot(out: Path) -> int:
-    """Benchmark the compact wire format and write BENCH_wire.json."""
-    from repro.estimators.registry import sketch_registry
-    from repro.estimators.state import REGISTERS
-
-    scale = repro_scale(1.0)
-    stream_items = max(4_000, int(20_000 * scale))
-    memory_bits = 50_000
-    sketches = bench_wire(memory_bits, stream_items)
-
-    states = {name: cls.state for name, cls in sketch_registry("wire").items()}
-    ratios = {
-        name: row["ratio"]
-        for name, row in sketches.items()
-        if states[name] is not None and states[name].family == REGISTERS
-    }
-    snapshot = {
-        "generated_by": "tools/bench_snapshot.py",
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "stream_items": stream_items,
-        "memory_bits": memory_bits,
-        "sketches": sketches,
-        "criteria": {
-            "register_family_ratios": ratios,
-            "min_register_family_ratio": MIN_REGISTER_FAMILY_RATIO,
-            "pass": bool(ratios)
-            and all(
-                ratio >= MIN_REGISTER_FAMILY_RATIO
-                for ratio in ratios.values()
-            ),
-        },
-    }
-
-    problems = validate_wire_snapshot(snapshot)
-    if problems:
-        for problem in problems:
-            print(f"schema: {problem}", file=sys.stderr)
-        print("refusing to write a snapshot that fails its own schema")
-        return 1
-
-    out.write_text(json.dumps(snapshot, indent=2) + "\n")
-    print(f"wrote {out}")
-    for name, row in sorted(sketches.items()):
-        print(
-            f"  {name:24s} {row['frame_bytes']:>8,d}B / "
-            f"{row['raw_bytes']:>8,d}B raw  "
-            f"({row['ratio']:.2f}x, {row['codec']})"
-        )
-    if not snapshot["criteria"]["pass"]:
-        print(
-            "WARNING: register-family compression below the "
-            f"{MIN_REGISTER_FAMILY_RATIO}x acceptance bar"
-        )
-    return 0
-
-
-# ----------------------------------------------------------------------
-# Observability overhead snapshot (``--obs-out`` → BENCH_obs.json)
-# ----------------------------------------------------------------------
-
-_OBS_MODE_ROW = {
-    "mdps": "count",
-    "seconds": "count",
-    "regression_vs_baseline": "number",
-}
-
-OBS_SNAPSHOT_SCHEMA = {
-    "generated_by": str,
-    "python": str,
-    "numpy": str,
-    "stream_items": "count",
-    "estimator": str,
-    "baseline_mdps": "count",
-    "baseline_source": str,
-    "modes": {"disabled": _OBS_MODE_ROW, "enabled": _OBS_MODE_ROW},
-    "criteria": {
-        "disabled_max_regression": "number",
-        "enabled_max_regression": "number",
-        "pass": bool,
-    },
-}
-
-
-def validate_obs_snapshot(snapshot: object) -> list[str]:
-    """Validate a BENCH_obs.json dict; returns a list of problems."""
-    errors: list[str] = []
-    _check(snapshot, OBS_SNAPSHOT_SCHEMA, "snapshot", errors)
-    return errors
-
-
-# ----------------------------------------------------------------------
-# Serving-layer snapshot (``--serve-out`` → BENCH_serve.json)
-# ----------------------------------------------------------------------
-# The ``load`` section is the result document of
-# ``repro.serve.loadgen.run_load`` verbatim; the wrapper adds host
-# provenance and the serve PR's acceptance criteria.
-
-SERVE_SNAPSHOT_SCHEMA = {
-    "generated_by": str,
-    "python": str,
-    "numpy": str,
-    "estimator": str,
-    "load": {
-        "config": {
-            "tenants": "count",
-            "connections": "count",
-            "record_frames_per_connection": "count",
-            "batch_size": "count",
-            "estimate_requests_per_connection": "count",
-            "pipeline_window": "count",
-        },
-        "record": {
-            "keys": "count",
-            "seconds": "count",
-            "keys_per_second": "count",
-        },
-        "estimate": {
-            "requests": "count",
-            "seconds": "count",
-            "qps": "count",
-            "latency_seconds": {
-                "p50": "count",
-                "p90": "count",
-                "p99": "count",
-            },
-        },
-        "accuracy": {"tenants": "count", "max_relative_error": "count"},
-        "server": {
-            "generation": "count",
-            "records_submitted": "count",
-            "records_applied": "count",
-            "records_dropped": "count",
-        },
-    },
-    "criteria": {
-        "min_estimate_qps": "number",
-        "min_record_keys_per_second": "number",
-        "pass": bool,
-    },
-}
-
-MIN_ESTIMATE_QPS = 50_000.0
-MIN_RECORD_KEYS_PER_SECOND = 1_000_000.0
-
-
-def validate_serve_snapshot(snapshot: object) -> list[str]:
-    """Validate a BENCH_serve.json dict; returns a list of problems."""
-    errors: list[str] = []
-    _check(snapshot, SERVE_SNAPSHOT_SCHEMA, "snapshot", errors)
-    return errors
-
-
-def bench_serve(scale: float) -> dict:
-    """Socket-level load run against a fresh in-process server."""
-    import asyncio
-    import tempfile
-
-    from repro.engine.recovery import CheckpointManager
-    from repro.serve import CardinalityServer, TenantConfig
-    from repro.serve.loadgen import run_load
-
-    record_frames = max(8, int(64 * scale))
-    estimate_requests = max(500, int(5000 * scale))
-
-    async def drive() -> dict:
-        with tempfile.TemporaryDirectory() as scratch:
-            server = CardinalityServer(
-                TenantConfig(estimator="SMB", memory_bits=MEMORY_BITS),
-                checkpoint_manager=CheckpointManager(
-                    Path(scratch) / "ckpts", sync_directory=False
-                ),
-            )
-            host, port = await server.start("127.0.0.1", 0)
-            try:
-                return await run_load(
-                    host,
-                    port,
-                    tenants=4,
-                    connections=4,
-                    record_frames=record_frames,
-                    batch_size=8192,
-                    estimate_requests=estimate_requests,
-                )
-            finally:
-                await server.stop()
-
-    return asyncio.run(drive())
-
-
-def _write_serve_snapshot(out: Path) -> int:
-    """Benchmark the serving layer and write BENCH_serve.json."""
-    load = bench_serve(repro_scale(1.0))
-    snapshot = {
-        "generated_by": "tools/bench_snapshot.py",
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "estimator": "SMB",
-        "load": load,
-        "criteria": {
-            "min_estimate_qps": MIN_ESTIMATE_QPS,
-            "min_record_keys_per_second": MIN_RECORD_KEYS_PER_SECOND,
-            "pass": (
-                load["estimate"]["qps"] >= MIN_ESTIMATE_QPS
-                and load["record"]["keys_per_second"]
-                >= MIN_RECORD_KEYS_PER_SECOND
-            ),
-        },
-    }
-
-    problems = validate_serve_snapshot(snapshot)
-    if problems:
-        for problem in problems:
-            print(f"schema: {problem}", file=sys.stderr)
-        print("refusing to write a snapshot that fails its own schema")
-        return 1
-
-    out.write_text(json.dumps(snapshot, indent=2) + "\n")
-    print(f"wrote {out}")
-    print(
-        f"  record   {load['record']['keys_per_second']:>14,.0f} keys/s "
-        f"(bar {MIN_RECORD_KEYS_PER_SECOND:,.0f})"
-    )
-    print(
-        f"  estimate {load['estimate']['qps']:>14,.0f} qps    "
-        f"(bar {MIN_ESTIMATE_QPS:,.0f}), "
-        f"p99 {load['estimate']['latency_seconds']['p99'] * 1e3:.2f} ms"
-    )
-    print(
-        "  accuracy max relative error "
-        f"{load['accuracy']['max_relative_error']:.4f}"
-    )
-    if not snapshot["criteria"]["pass"]:
-        print("WARNING: serving throughput below the acceptance bars")
-    return 0
-
-
-def bench_obs(items: np.ndarray, baseline_mdps: float) -> dict:
-    """SMB recording throughput with metrics disabled vs enabled.
-
-    ``disabled`` runs exactly the table-4 recording benchmark with the
-    default ``NullRegistry`` in place; ``enabled`` installs a live
-    ``MetricsRegistry`` and attaches an ``SMBObserver`` sink before
-    recording. Both are best-of-5 single-pass timings over fresh
-    estimators, compared against the ``BENCH_kernels.json`` SMB batch
-    throughput (the pre-observability baseline).
-    """
-    from repro.obs import MetricsRegistry, SMBObserver, set_registry
-
-    design = max(items.size, 1_000_000)
-    repeats = 5
-
-    def measure(attach: bool) -> float:
-        best = float("inf")
-        for seed in range(repeats):
-            warmup = make_estimator("SMB", MEMORY_BITS, design, seed=1)
-            estimator = make_estimator("SMB", MEMORY_BITS, design, seed=0)
-            if attach:
-                registry = MetricsRegistry()
-                previous = set_registry(registry)
-                warmup.attach_metrics(SMBObserver(registry, shard="warmup"))
-                estimator.attach_metrics(SMBObserver(registry))
-            try:
-                best = min(best, time_recording(estimator, items, warmup=warmup))
-            finally:
-                if attach:
-                    set_registry(previous)
-        return best
-
-    modes = {}
-    for mode, attach in (("disabled", False), ("enabled", True)):
-        seconds = measure(attach)
-        rate = mdps(items.size, seconds)
-        modes[mode] = {
-            "mdps": round(rate, 3),
-            "seconds": round(seconds, 6),
-            "regression_vs_baseline": round(1.0 - rate / baseline_mdps, 4),
-        }
-    return modes
-
-
 def _time(fn, repeats: int = 3) -> float:
     """Best-of-N wall time of ``fn`` in seconds (noise-resistant)."""
     best = float("inf")
@@ -727,59 +256,30 @@ def _time(fn, repeats: int = 3) -> float:
     return best
 
 
-def bench_recording(items: np.ndarray, scalar_items: np.ndarray) -> dict:
-    """Plane path vs scalar reference loop, per estimator."""
-    out = {}
+def bench_recording(
+    items: np.ndarray, scalar_items: np.ndarray
+) -> tuple[dict, dict]:
+    """Plane path vs scalar reference loop per estimator, and the query
+    latency of the plane-path estimator once it holds ``items``."""
+    recording, query = {}, {}
     for name in ALL_ESTIMATORS:
         design = max(items.size, 1_000_000)
         warmup = make_estimator(name, MEMORY_BITS, design, seed=1)
-        batch_seconds = time_recording(
-            make_estimator(name, MEMORY_BITS, design, seed=0),
-            items,
-            warmup=warmup,
-        )
+        estimator = make_estimator(name, MEMORY_BITS, design, seed=0)
+        batch_seconds = time_recording(estimator, items, warmup=warmup)
         scalar = make_estimator(name, MEMORY_BITS, design, seed=0)
         start = time.perf_counter()
         scalar._record_batch(scalar_items)
         scalar_seconds = time.perf_counter() - start
         batch = mdps(items.size, batch_seconds)
         reference = mdps(scalar_items.size, scalar_seconds)
-        out[name] = {
+        recording[name] = {
             "batch_mdps": round(batch, 3),
             "scalar_mdps": round(reference, 3),
             "speedup": round(batch / reference, 1) if reference else None,
         }
-    return out
-
-
-def bench_query(items: np.ndarray) -> dict:
-    out = {}
-    for name in ALL_ESTIMATORS:
-        estimator = make_estimator(
-            name, MEMORY_BITS, max(items.size, 1_000_000), seed=0
-        )
-        estimator.record_many(items)
-        out[name] = {"seconds": time_call(estimator.query)}
-    return out
-
-
-def bench_scatter(n: int) -> dict:
-    rng = np.random.default_rng(5)
-    idx = rng.integers(0, 4096, size=n, dtype=np.uint64)
-    values = rng.integers(1, 32, size=n).astype(np.uint8)
-    out = {}
-    saved = scatter_module._FAST_UFUNC_AT
-    try:
-        for label, fast in (("ufunc_at", True), ("reduceat", False)):
-            scatter_module._FAST_UFUNC_AT = fast
-            target = np.zeros(4096, dtype=np.uint8)
-            out[f"max_{label}_ms"] = round(
-                _time(lambda: scatter_max(target, idx, values)) * 1e3, 3
-            )
-    finally:
-        scatter_module._FAST_UFUNC_AT = saved
-    out["selected"] = "ufunc_at" if saved else "reduceat"
-    return out
+        query[name] = {"seconds": time_call(estimator.query)}
+    return recording, query
 
 
 def bench_plane(items: np.ndarray) -> dict:
@@ -818,24 +318,23 @@ def bench_plane(items: np.ndarray) -> dict:
 
 
 def bench_engine(items: np.ndarray) -> list[dict]:
+    def pool(name: str, num_shards: int, seed: int) -> ShardPool:
+        return ShardPool.of(
+            name,
+            MEMORY_BITS * num_shards,
+            num_shards,
+            design_cardinality=max(items.size, 1_000_000) * num_shards,
+            seed=seed,
+        )
+
     rows = []
     for name in ("SMB", "HLL++"):
         for num_shards in (1, 4, 8):
-            pool = ShardPool.of(
-                name,
-                MEMORY_BITS * num_shards,
-                num_shards,
-                design_cardinality=max(items.size, 1_000_000) * num_shards,
-                seed=0,
+            seconds = time_recording(
+                pool(name, num_shards, 0),
+                items,
+                warmup=pool(name, num_shards, 1),
             )
-            warmup = ShardPool.of(
-                name,
-                MEMORY_BITS * num_shards,
-                num_shards,
-                design_cardinality=max(items.size, 1_000_000) * num_shards,
-                seed=1,
-            )
-            seconds = time_recording(pool, items, warmup=warmup)
             rows.append(
                 {
                     "estimator": name,
@@ -846,200 +345,441 @@ def bench_engine(items: np.ndarray) -> list[dict]:
     return rows
 
 
-def _write_obs_snapshot(out: Path) -> int:
-    """Measure obs overhead against BENCH_kernels.json and write it."""
-    kernels_path = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
-    kernels = json.loads(kernels_path.read_text())
-    baseline_mdps = kernels["recording"]["SMB"]["batch_mdps"]
+def measure_kernels(scale: float) -> dict:
+    stream_items = max(10_000, int(1_000_000 * scale))
+    scalar_items = max(2_000, int(100_000 * scale))
+    items = distinct_items(stream_items, seed=9)
+    recording, query = bench_recording(items, items[:scalar_items])
+    return {
+        "stream_items": stream_items,
+        "scalar_reference_items": scalar_items,
+        "recording": recording,
+        "query": query,
+        "plane": bench_plane(items[: min(stream_items, 262_144)]),
+        "engine": bench_engine(items),
+    }
 
-    scale = repro_scale(1.0)
+
+def kernels_criteria(snapshot: dict) -> dict:
+    recording = snapshot["recording"]
+    speedups = {
+        name: recording[name]["speedup"] if name in recording else None
+        for name in HEADLINE
+    }
+    return {
+        "headline_speedups": speedups,
+        "threshold": MIN_SPEEDUP,
+        "pass": all(s is not None and s >= MIN_SPEEDUP for s in speedups.values()),
+    }
+
+
+# ----------------------------------------------------------------------
+# obs
+# ----------------------------------------------------------------------
+def measure_obs(scale: float) -> dict:
+    """SMB recording throughput with metrics disabled vs enabled.
+
+    ``disabled`` runs exactly the table-4 recording benchmark with the
+    default ``NullRegistry`` in place; ``enabled`` installs a live
+    ``MetricsRegistry`` and attaches an ``SMBObserver`` sink before
+    recording. Both are best-of-5 single-pass timings over fresh
+    estimators, compared against the ``BENCH_kernels.json`` SMB batch
+    throughput (the pre-observability baseline).
+    """
+    from repro.obs import MetricsRegistry, SMBObserver, set_registry
+
+    kernels = json.loads((ROOT / "BENCH_kernels.json").read_text())
+    baseline_mdps = kernels["recording"]["SMB"]["batch_mdps"]
     stream_items = max(10_000, int(1_000_000 * scale))
     items = distinct_items(stream_items, seed=9)
-    modes = bench_obs(items, baseline_mdps)
+    design = max(items.size, 1_000_000)
+    repeats = 5
 
-    snapshot = {
-        "generated_by": "tools/bench_snapshot.py",
-        "python": platform.python_version(),
-        "numpy": np.__version__,
+    def measure(attach: bool) -> float:
+        best = float("inf")
+        for seed in range(repeats):
+            warmup = make_estimator("SMB", MEMORY_BITS, design, seed=1)
+            estimator = make_estimator("SMB", MEMORY_BITS, design, seed=0)
+            if attach:
+                registry = MetricsRegistry()
+                previous = set_registry(registry)
+                warmup.attach_metrics(SMBObserver(registry, shard="warmup"))
+                estimator.attach_metrics(SMBObserver(registry))
+            try:
+                best = min(best, time_recording(estimator, items, warmup=warmup))
+            finally:
+                if attach:
+                    set_registry(previous)
+        return best
+
+    modes = {}
+    for mode, attach in (("disabled", False), ("enabled", True)):
+        seconds = measure(attach)
+        rate = mdps(items.size, seconds)
+        modes[mode] = {
+            "mdps": round(rate, 3),
+            "seconds": round(seconds, 6),
+            "regression_vs_baseline": round(1.0 - rate / baseline_mdps, 4),
+        }
+    return {
         "stream_items": stream_items,
         "estimator": "SMB",
         "baseline_mdps": baseline_mdps,
         "baseline_source": "BENCH_kernels.json recording.SMB.batch_mdps",
         "modes": modes,
-        "criteria": {
-            "disabled_max_regression": 0.02,
-            "enabled_max_regression": 0.05,
-            "pass": (
-                modes["disabled"]["regression_vs_baseline"] < 0.02
-                and modes["enabled"]["regression_vs_baseline"] < 0.05
+    }
+
+
+def obs_criteria(snapshot: dict) -> dict:
+    modes = snapshot["modes"]
+    return {
+        "disabled_max_regression": MAX_DISABLED_REGRESSION,
+        "enabled_max_regression": MAX_ENABLED_REGRESSION,
+        "pass": (
+            modes["disabled"]["regression_vs_baseline"]
+            < MAX_DISABLED_REGRESSION
+            and modes["enabled"]["regression_vs_baseline"]
+            < MAX_ENABLED_REGRESSION
+        ),
+    }
+
+
+# ----------------------------------------------------------------------
+# serve
+# ----------------------------------------------------------------------
+def _percentile(ordered: list[float], fraction: float) -> float:
+    return ordered[min(len(ordered) - 1, int(fraction * len(ordered)))]
+
+
+async def drive_serve(
+    tenants: int = 4,
+    connections: int = 4,
+    record_frames: int = 64,
+    batch_size: int = 8192,
+    estimate_requests: int = 5000,
+    window: int = 64,
+) -> dict:
+    """Drive a fresh in-process server through ``ServeClient``.
+
+    Connection ``c`` records its frame ``f`` into tenant ``f % tenants``
+    from its own key lane, so every tenant's exact count is known. A
+    CHECKPOINT then drains the server, every tenant's estimate is held
+    against its exact count, and each connection fires ``estimate_many``
+    bursts of ``window`` requests (``record_frames`` and
+    ``estimate_requests`` are per connection). A request's latency is its
+    burst's send-to-last-answer time, as a pipelining caller sees it.
+    Every response is checked; an error frame raises.
+    """
+    from repro.engine.recovery import CheckpointManager
+    from repro.serve import CardinalityServer, ServeClient, TenantConfig
+
+    names = [f"tenant-{index:03d}" for index in range(tenants)]
+    exact = dict.fromkeys(names, 0)  # every key below is distinct
+
+    async def record(client: ServeClient, lane: int) -> None:
+        for frame in range(record_frames):
+            start = (lane * record_frames + frame) * batch_size
+            keys = np.arange(start, start + batch_size, dtype=np.uint64)
+            tenant = names[frame % tenants]
+            accepted = await client.record(tenant, keys)
+            if accepted != batch_size:
+                raise RuntimeError(f"RECORD accepted {accepted} of {batch_size}")
+            exact[tenant] += batch_size
+
+    async def estimate(client: ServeClient) -> list[float]:
+        latencies: list[float] = []
+        for first in range(0, estimate_requests, window):
+            burst = [
+                names[index % tenants]
+                for index in range(first, min(first + window, estimate_requests))
+            ]
+            began = time.perf_counter()
+            await client.estimate_many(burst)
+            latencies += [time.perf_counter() - began] * len(burst)
+        return latencies
+
+    with tempfile.TemporaryDirectory() as scratch:
+        server = CardinalityServer(
+            TenantConfig(estimator="SMB", memory_bits=MEMORY_BITS),
+            checkpoint_manager=CheckpointManager(
+                Path(scratch) / "ckpts", sync_directory=False
             ),
+        )
+        host, port = await server.start("127.0.0.1", 0)
+        clients: list[ServeClient] = []
+        try:
+            for __ in range(connections):
+                clients.append(await ServeClient.connect(host, port))
+            began = time.perf_counter()
+            await asyncio.gather(*(
+                record(client, lane) for lane, client in enumerate(clients)
+            ))
+            record_seconds = time.perf_counter() - began
+            generation = await clients[0].checkpoint()
+            estimates = await clients[0].estimate_many(names)
+            errors = [
+                abs(value - exact[name]) / exact[name]
+                for name, value in zip(names, estimates) if exact[name]
+            ]
+            records = (await clients[0].stats())["records"]
+            began = time.perf_counter()
+            per_client = await asyncio.gather(*map(estimate, clients))
+            estimate_seconds = time.perf_counter() - began
+        finally:
+            for client in clients:
+                await client.close()
+            await server.stop()
+
+    latencies = sorted(value for chunk in per_client for value in chunk)
+    record_keys = connections * record_frames * batch_size
+    return {
+        "config": {
+            "tenants": tenants,
+            "connections": connections,
+            "record_frames_per_connection": record_frames,
+            "batch_size": batch_size,
+            "estimate_requests_per_connection": estimate_requests,
+            "pipeline_window": window,
+        },
+        "record": {
+            "keys": record_keys,
+            "seconds": record_seconds,
+            "keys_per_second": record_keys / record_seconds,
+        },
+        "estimate": {
+            "requests": len(latencies),
+            "seconds": estimate_seconds,
+            "qps": len(latencies) / estimate_seconds,
+            "latency_seconds": {
+                key: _percentile(latencies, fraction)
+                for key, fraction in (("p50", 0.5), ("p90", 0.9), ("p99", 0.99))
+            },
+        },
+        "accuracy": {
+            "tenants": tenants,
+            "max_relative_error": max(errors, default=0.0),
+        },
+        "server": {
+            "generation": generation,
+            "records_submitted": records["submitted"],
+            "records_applied": records["applied"],
+            "records_dropped": records["dropped"],
         },
     }
 
-    problems = validate_obs_snapshot(snapshot)
-    if problems:
-        for problem in problems:
-            print(f"schema: {problem}", file=sys.stderr)
-        print("refusing to write a snapshot that fails its own schema")
-        return 1
 
-    out.write_text(json.dumps(snapshot, indent=2) + "\n")
-    print(f"wrote {out}")
-    for mode, row in modes.items():
-        print(
-            f"  {mode:8s} {row['mdps']:.3f} Mdps "
-            f"({row['regression_vs_baseline']:+.2%} vs baseline)"
+def measure_serve(scale: float) -> dict:
+    load = drive_serve(
+        record_frames=max(8, int(64 * scale)),
+        estimate_requests=max(500, int(5000 * scale)),
+    )
+    return {"estimator": "SMB", "load": asyncio.run(load)}
+
+
+def serve_criteria(snapshot: dict) -> dict:
+    load = snapshot["load"]
+    return {
+        "min_estimate_qps": MIN_ESTIMATE_QPS,
+        "min_record_keys_per_second": MIN_RECORD_KEYS_PER_SECOND,
+        "pass": (
+            load["estimate"]["qps"] >= MIN_ESTIMATE_QPS
+            and load["record"]["keys_per_second"]
+            >= MIN_RECORD_KEYS_PER_SECOND
+        ),
+    }
+
+
+# ----------------------------------------------------------------------
+# wire
+# ----------------------------------------------------------------------
+def _wire_zoo(memory_bits: int, stream_items: int) -> dict:
+    """Loaded instances of every wire-frameable class at realistic fill."""
+    from repro.estimators import RefinedHyperLogLog
+    from repro.estimators.registry import sketch_registry
+
+    items = distinct_items(stream_items, seed=5)
+    zoo = {}
+    for name, cls in sorted(sketch_registry("wire").items()):
+        if cls is ShardPool:
+            sketch = ShardPool.of("HLL", memory_bits, 4, seed=3)
+        elif cls is RefinedHyperLogLog:
+            sketch = cls(memory_bits, seed=3)
+            sketch.learn(distinct_items(5_000, seed=9), 5_000)
+        elif name == "MultiResolutionBitmap":
+            sketch = cls(max(memory_bits // 24, 64), 12, seed=3)
+        elif name == "SelfMorphingBitmap":
+            sketch = cls(memory_bits, threshold=memory_bits // 12, seed=3)
+        elif name == "KMinValues":
+            sketch = cls(512, seed=3)
+        else:
+            sketch = cls(memory_bits, seed=3)
+        sketch.record_many(items)
+        zoo[name] = sketch
+    return zoo
+
+
+def measure_wire(scale: float) -> dict:
+    from repro.wire import decode_sketch, encode_sketch, frame_info
+
+    stream_items = max(4_000, int(20_000 * scale))
+    memory_bits = 50_000
+    sketches = {}
+    for name, sketch in _wire_zoo(memory_bits, stream_items).items():
+        frame = encode_sketch(sketch)
+        info = frame_info(frame)
+        sketches[name] = {
+            "codec": info.codec,
+            "raw_bytes": info.raw_bytes,
+            "frame_bytes": info.frame_bytes,
+            "ratio": round(info.ratio, 3),
+            "encode_ms": round(_time(lambda: encode_sketch(sketch)) * 1e3, 3),
+            "decode_ms": round(_time(lambda: decode_sketch(frame)) * 1e3, 3),
+        }
+    return {
+        "stream_items": stream_items,
+        "memory_bits": memory_bits,
+        "sketches": sketches,
+    }
+
+
+def wire_criteria(snapshot: dict) -> dict:
+    from repro.estimators.registry import sketch_registry
+    from repro.estimators.state import REGISTERS
+
+    registers = {
+        name
+        for name, cls in sketch_registry("wire").items()
+        if cls.state is not None and cls.state.family == REGISTERS
+    }
+    ratios = {
+        name: row["ratio"]
+        for name, row in snapshot["sketches"].items()
+        if name in registers
+    }
+    return {
+        "register_family_ratios": ratios,
+        "min_register_family_ratio": MIN_REGISTER_FAMILY_RATIO,
+        "pass": bool(ratios)
+        and all(ratio >= MIN_REGISTER_FAMILY_RATIO for ratio in ratios.values()),
+    }
+
+
+# ----------------------------------------------------------------------
+# The table, and its one write path and one check path
+# ----------------------------------------------------------------------
+class Section(NamedTuple):
+    """One ``BENCH_<name>.json``: what it holds, how it is measured, its bar."""
+
+    schema: dict
+    #: ``REPRO_SCALE`` → the measured keys (everything but provenance
+    #: and ``criteria``).
+    measure: Callable[[float], dict]
+    #: The snapshot's own numbers → its ``criteria``, ``pass`` included.
+    criteria: Callable[[dict], dict]
+
+
+#: Written in this order: ``obs`` reads the ``kernels`` baseline.
+SECTIONS = {
+    "kernels": Section(KERNELS_SCHEMA, measure_kernels, kernels_criteria),
+    "obs": Section(OBS_SCHEMA, measure_obs, obs_criteria),
+    "serve": Section(SERVE_SCHEMA, measure_serve, serve_criteria),
+    "wire": Section(WIRE_SCHEMA, measure_wire, wire_criteria),
+}
+
+
+def check(name: str, snapshot: object) -> list[str]:
+    """Problems with ``snapshot`` as ``BENCH_<name>.json``; empty = ok."""
+    section = SECTIONS[name]
+    errors: list[str] = []
+    _check(snapshot, section.schema, "snapshot", errors)
+    if errors:
+        return errors
+    derived = section.criteria(snapshot)
+    if derived != snapshot["criteria"]:
+        errors.append(
+            f"snapshot.criteria: recorded {snapshot['criteria']}, but the "
+            f"snapshot's numbers give {derived}"
         )
+    elif not derived["pass"]:
+        errors.append(f"snapshot.criteria.pass: the numbers miss the {name} bar")
+    return errors
+
+
+def _summary(path: Path, criteria: dict) -> None:
+    verdict = "pass" if criteria["pass"] else "MISSES ITS BAR"
+    print(f"{path}: {verdict}; criteria {json.dumps(criteria)}")
+
+
+def write(name: str) -> int:
+    """Measure one section and write ``BENCH_<name>.json`` at the root."""
+    section = SECTIONS[name]
+    snapshot = {
+        "generated_by": "tools/bench_snapshot.py",
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        **section.measure(repro_scale(1.0)),
+    }
+    snapshot["criteria"] = section.criteria(snapshot)
+    path = ROOT / f"BENCH_{name}.json"
+    errors: list[str] = []
+    _check(snapshot, section.schema, "snapshot", errors)
+    if errors:
+        for problem in errors:
+            print(f"schema: {problem}", file=sys.stderr)
+        print(f"refusing to write {path}: it fails its own schema")
+        return 1
+    path.write_text(json.dumps(snapshot, indent=2) + "\n")
+    _summary(path, snapshot["criteria"])
     if not snapshot["criteria"]["pass"]:
-        print("WARNING: observability overhead above the 2%/5% thresholds")
+        print(f"WARNING: {path.name} misses its bar")
     return 0
+
+
+def check_files(paths: list[str]) -> int:
+    """``--check``: exit status 1 when any file has a problem."""
+    status = 0
+    for path in map(Path, paths):
+        name = path.name.removeprefix("BENCH_").removesuffix(".json")
+        if path.name == f"BENCH_{name}.json" and name in SECTIONS:
+            snapshot = json.loads(path.read_text())
+            problems = check(name, snapshot)
+        else:
+            problems = [f"not BENCH_<section>.json for a section in {list(SECTIONS)}"]
+        for problem in problems:
+            print(f"{path}: {problem}", file=sys.stderr)
+        if problems:
+            print(f"{path}: INVALID")
+            status = 1
+        else:
+            _summary(path, snapshot["criteria"])
+    return status
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--out",
-        default=str(Path(__file__).resolve().parent.parent / "BENCH_kernels.json"),
-        help="output path (default: BENCH_kernels.json at the repo root)",
+        "sections",
+        nargs="*",
+        metavar="SECTION",
+        help=f"write BENCH_<SECTION>.json; SECTION is one of {', '.join(SECTIONS)}",
     )
     parser.add_argument(
         "--check",
+        nargs="+",
         metavar="FILE",
-        help="validate an existing snapshot against the schema and exit",
-    )
-    parser.add_argument(
-        "--check-metrics",
-        metavar="FILE",
-        help=(
-            "validate a repro.obs metrics snapshot (from "
-            "`repro engine --metrics-out`) and exit"
-        ),
-    )
-    parser.add_argument(
-        "--obs-out",
-        metavar="FILE",
-        help=(
-            "measure metrics-disabled vs metrics-enabled SMB recording "
-            "throughput and write the overhead snapshot (BENCH_obs.json), "
-            "then exit"
-        ),
-    )
-    parser.add_argument(
-        "--serve-out",
-        metavar="FILE",
-        help=(
-            "benchmark the network serving layer against an in-process "
-            "server and write the snapshot (BENCH_serve.json), then exit"
-        ),
-    )
-    parser.add_argument(
-        "--check-serve",
-        metavar="FILE",
-        help="validate a BENCH_serve.json snapshot and exit",
-    )
-    parser.add_argument(
-        "--wire-out",
-        metavar="FILE",
-        help=(
-            "benchmark the compact sketch wire format and write the "
-            "snapshot (BENCH_wire.json), then exit"
-        ),
-    )
-    parser.add_argument(
-        "--check-wire",
-        metavar="FILE",
-        help=(
-            "validate a BENCH_wire.json snapshot and enforce the "
-            "register-family compression bar, then exit"
-        ),
+        help="check BENCH_<section>.json files against their schema and bar",
     )
     args = parser.parse_args(argv)
-
-    if args.check is not None:
-        problems = validate_snapshot(json.loads(Path(args.check).read_text()))
-        for problem in problems:
-            print(f"schema: {problem}", file=sys.stderr)
-        print(f"{args.check}: {'INVALID' if problems else 'ok'}")
-        return 1 if problems else 0
-
-    if args.check_metrics is not None:
-        problems = validate_metrics_snapshot(
-            json.loads(Path(args.check_metrics).read_text())
+    if bool(args.check) == bool(args.sections) or not (
+        set(args.sections) <= SECTIONS.keys()
+    ):
+        parser.error(
+            f"give sections to write ({', '.join(SECTIONS)}) "
+            "or --check FILE..."
         )
-        for problem in problems:
-            print(f"schema: {problem}", file=sys.stderr)
-        print(f"{args.check_metrics}: {'INVALID' if problems else 'ok'}")
-        return 1 if problems else 0
-
-    if args.check_serve is not None:
-        problems = validate_serve_snapshot(
-            json.loads(Path(args.check_serve).read_text())
-        )
-        for problem in problems:
-            print(f"schema: {problem}", file=sys.stderr)
-        print(f"{args.check_serve}: {'INVALID' if problems else 'ok'}")
-        return 1 if problems else 0
-
-    if args.check_wire is not None:
-        problems = check_wire_bars(
-            json.loads(Path(args.check_wire).read_text())
-        )
-        for problem in problems:
-            print(f"wire: {problem}", file=sys.stderr)
-        print(f"{args.check_wire}: {'INVALID' if problems else 'ok'}")
-        return 1 if problems else 0
-
-    if args.wire_out is not None:
-        return _write_wire_snapshot(Path(args.wire_out))
-
-    if args.obs_out is not None:
-        return _write_obs_snapshot(Path(args.obs_out))
-
-    if args.serve_out is not None:
-        return _write_serve_snapshot(Path(args.serve_out))
-
-    scale = repro_scale(1.0)
-    stream_items = max(10_000, int(1_000_000 * scale))
-    scalar_items = max(2_000, int(100_000 * scale))
-    items = distinct_items(stream_items, seed=9)
-
-    snapshot = {
-        "generated_by": "tools/bench_snapshot.py",
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "stream_items": stream_items,
-        "scalar_reference_items": scalar_items,
-        "recording": bench_recording(items, items[:scalar_items]),
-        "query": bench_query(items),
-        "scatter": bench_scatter(stream_items),
-        "plane": bench_plane(items[: min(stream_items, 262_144)]),
-        "engine": bench_engine(items),
-    }
-
-    criteria = {
-        name: snapshot["recording"][name]["speedup"] for name in HEADLINE
-    }
-    snapshot["criteria"] = {
-        "headline_speedups": criteria,
-        "threshold": 5.0,
-        "pass": all(s is not None and s >= 5.0 for s in criteria.values()),
-    }
-
-    problems = validate_snapshot(snapshot)
-    if problems:
-        for problem in problems:
-            print(f"schema: {problem}", file=sys.stderr)
-        print("refusing to write a snapshot that fails its own schema")
-        return 1
-
-    Path(args.out).write_text(json.dumps(snapshot, indent=2) + "\n")
-    print(f"wrote {args.out}")
-    for name, speedup in criteria.items():
-        print(f"  {name:6s} plane path {speedup}x over scalar reference")
-    if not snapshot["criteria"]["pass"]:
-        print("WARNING: headline speedup below the 5x acceptance threshold")
-    return 0
-
+    if args.check:
+        return check_files(args.check)
+    return max(write(name) for name in SECTIONS if name in args.sections)
 
 if __name__ == "__main__":
     sys.exit(main())
