@@ -10,8 +10,8 @@ purity           plane paths stay vectorized (no per-item Python)
 determinism      randomness flows from explicit seeds, never globals
 dtype            hash planes keep uint64/declared dtypes, no implicit casts
 guards           ``# guarded-by:`` fields stay under their declared lock
-asyncio          event-loop hygiene: no blocking calls, shielded gates,
-                 no fire-and-forget tasks
+asyncio          event-loop hygiene: no blocking calls, no
+                 fire-and-forget tasks
 analysis         ``allow()`` ids name real rules (suppression audit)
 ==============  ======================================================
 

@@ -7,9 +7,7 @@ Usage::
     repro analyze --list-rules     # every rule + fix hint
 
 Exit code 0 when no unsuppressed findings remain, 1 otherwise — CI runs
-this over ``src/repro`` as a gating job. Cross-file rules (the asyncio
-gate-holder set) see only the files they are given, so analyze the
-whole tree before trusting a clean result.
+this over ``src/repro`` as a gating job.
 """
 
 from __future__ import annotations

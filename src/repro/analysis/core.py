@@ -16,10 +16,7 @@ Architecture
 - :class:`Diagnostic` — one finding: ``path:line:col``, the rule id and
   a concrete message;
 - :class:`Checker` — base class; subclasses implement
-  :meth:`Checker.check_module` (per-file AST walks) and/or
-  :meth:`Checker.check_project` (cross-file invariants over every
-  analyzed module). A cross-file rule sees only the files it is given,
-  so the gate analyzes the whole tree;
+  :meth:`Checker.check_module`, one AST walk per file;
 - suppression — inline ``# analysis: allow(purity.loop) -- reason``
   comments on (or directly above) the flagged line. There is no
   baseline: real findings get fixed, or carry an allow with its reason.
@@ -153,12 +150,6 @@ class Checker:
 
     def check_module(self, module: ModuleInfo) -> Iterator[Diagnostic]:
         """Per-file findings (default: none)."""
-        return iter(())
-
-    def check_project(
-        self, modules: Sequence[ModuleInfo]
-    ) -> Iterator[Diagnostic]:
-        """Cross-file findings over every analyzed module (default: none)."""
         return iter(())
 
     def rule(self, rule_id: str) -> Rule:
@@ -329,7 +320,6 @@ def analyze_paths(
     for checker in all_checkers():
         for module in modules:
             raw.extend(checker.check_module(module))
-        raw.extend(checker.check_project(modules))
     raw.sort(key=lambda diag: (diag.path, diag.line, diag.col, diag.rule))
 
     survivors: list[Diagnostic] = []

@@ -25,20 +25,20 @@ state is order-insensitive for a fixed key *set*, and per-producer FIFO
 still holds, which is what the serving layer's per-connection semantics
 need.
 
-**Quiescing.** A checkpoint counts itself in a pause count. While that
-count is non-zero, new submits park at an entry gate, and the
-checkpoint waits out in-flight ones before it saves, so it can never
-capture a half-applied chunk from a concurrent producer. The periodic
-trigger is decided under the lock and skipped while another checkpoint
-is pending, so two producers crossing the threshold together never wait
-for each other. :meth:`drain` is a barrier on the lock; :meth:`close`
-refuses new submits, waits out in-flight ones and re-raises a latched
-failure. Submit-vs-close is deterministic: a submit racing a close
-either completes before the close returns or raises ``RuntimeError``.
-The serving layer builds its pipelines without a checkpoint manager
-(it checkpoints its tenant registry behind its own ingest gate), so
-only the engine CLI runs the checkpoint path here. The pipeline is a
-context manager::
+**Quiescing.** :meth:`IngestPipeline.paused` is the one way to hold
+a pipeline still: new submits park at an entry gate, in-flight ones are
+waited out and other pauses of the same pipeline wait their turn, so
+its body reads or changes the pool at a safe point and never sees a
+half-applied chunk from a concurrent producer. A checkpoint is a save
+under a pause. The periodic trigger is decided under the lock and
+skipped while a pause is held, so two producers crossing the threshold
+together never wait for each other. :meth:`drain` is a barrier on the
+lock; :meth:`close` refuses new submits and pauses, waits out in-flight
+ones and re-raises a latched failure. Submit-vs-close is deterministic:
+a submit racing a close either completes before the close returns or
+raises ``RuntimeError``. The serving layer pauses one tenant's pipeline
+at a time for EXPORT, MERGE_IN and each tenant's share of a
+CHECKPOINT. The pipeline is a context manager::
 
     with IngestPipeline(pool) as pipe:
         for batch in batches:
@@ -76,7 +76,8 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -152,12 +153,12 @@ class IngestPipeline:
         self.records_applied = 0  # guarded-by: _lock
         self.records_dropped = 0  # guarded-by: _lock
         self._records_since_checkpoint = 0  # guarded-by: _lock
-        # Submits register in _active_submits so close() and a
-        # checkpoint can wait them out. _paused counts pending
-        # checkpoints: while it is non-zero, new submits park at the
-        # gate instead of starting. _closed flips once.
+        # Submits register in _active_submits so close() and a pause
+        # can wait them out. _paused is set while a pause holds the
+        # pipeline: new submits park at the gate instead of starting,
+        # and other pauses wait their turn. _closed flips once.
         self._active_submits = 0  # guarded-by: _lock
-        self._paused = 0  # guarded-by: _lock
+        self._paused = False  # guarded-by: _lock
         self._closed = False  # guarded-by: _lock
         # Apply failures latch here (appended under _lock; read
         # lock-free by the fast-fail checks).
@@ -183,10 +184,10 @@ class IngestPipeline:
 
         Submit-vs-close is deterministic: a submit that starts after
         :meth:`close` was called raises immediately; a submit already
-        in flight is waited for by ``close``. While a checkpoint is
-        pending, new submits park at the entry gate and resume once the
-        generation is written — callers observe extra latency, not an
-        error. Safe to call from many threads at once (an ``asyncio``
+        in flight is waited for by ``close``. While a pause is held,
+        new submits park at the entry gate and resume once it is
+        released — callers observe extra latency, not an error. Safe to
+        call from many threads at once (an ``asyncio``
         ``run_in_executor`` pool included).
         """
         with self._lock:
@@ -213,11 +214,12 @@ class IngestPipeline:
             plane.prefetch(requests)
             parts = self.pool.partitioner.split_plane(plane)
             if self._apply(plane.size, parts):
-                # __init__ refuses checkpoint_every without a manager.
-                assert self.checkpoint_manager is not None
-                self._checkpoint_paused(
-                    self.checkpoint_manager, None, active_allowance=1
-                )
+                # _apply claimed the pause; this submit stays in flight.
+                try:
+                    self._quiesce(in_flight=1)
+                    self._save_checkpoint(None)
+                finally:
+                    self._unpause()
         return int(values.size)
 
     def _apply(self, size: int, parts: list[HashPlane]) -> bool:
@@ -233,8 +235,8 @@ class IngestPipeline:
         applied. So does the whole chunk when another producer's
         failure has latched.
 
-        Returns whether a periodic checkpoint is due. If so, it is
-        already counted in :attr:`_paused` and the caller must run it.
+        Returns whether a periodic checkpoint is due. If so, this call
+        has claimed the pause and the caller must run the checkpoint.
         """
         obs = self._obs
         if obs is not None:
@@ -277,76 +279,94 @@ class IngestPipeline:
             if not self.checkpoint_every:
                 return False
             self._records_since_checkpoint += size
-            # Skipped while any checkpoint is pending: a periodic one
-            # waits for the other producers to finish, so two at once
-            # would wait on each other forever.
+            # Skipped while a pause is held: a periodic checkpoint waits
+            # for the other producers to finish, so two at once would
+            # wait on each other forever.
             if (
                 self._paused
                 or self._records_since_checkpoint < self.checkpoint_every
             ):
                 return False
-            self._paused += 1
+            self._paused = True
             return True
+
+    @contextmanager
+    def paused(self) -> Iterator[None]:
+        """Hold the pipeline at a safe point for the ``with`` body.
+
+        New submits park at the entry gate, in-flight ones are waited
+        out and any other pause of this pipeline is waited for first, so
+        no submit or other pause touches the pool during the body, which
+        sees it exactly as a synchronous ingest of every returned submit
+        left it (lock-free ``query_live`` readers still read). The pause
+        is released however the body exits. Raises ``RuntimeError`` on a
+        closed pipeline, before pausing anything, and re-raises a
+        latched apply failure.
+        """
+        with self._lock:
+            while self._paused and not self._closed:
+                self._lock.wait()
+            if self._closed:
+                raise RuntimeError("cannot pause a closed pipeline")
+            self._paused = True
+        try:
+            self._quiesce(in_flight=0)
+            yield
+        finally:
+            self._unpause()
+
+    def _quiesce(self, in_flight: int) -> None:
+        """Wait until ``in_flight`` submits remain, then drain.
+
+        The caller holds the pause. ``in_flight`` is 1 when a submit
+        runs its own periodic checkpoint, since it is still registered.
+        """
+        with self._lock:
+            while self._active_submits > in_flight:
+                self._lock.wait()
+        self.drain()
+
+    def _unpause(self) -> None:
+        with self._lock:
+            self._paused = False
+            self._lock.notify_all()
 
     def checkpoint_now(
         self, meta: dict[str, Any] | None = None
     ) -> "Generation":
-        """Quiesce to a safe point and write one checkpoint generation.
+        """Write one checkpoint generation under a pause.
 
-        Requires a ``checkpoint_manager``. Producers are quiesced
-        first (new submits park at the entry gate, in-flight submits
-        are waited out), so the generation captures a state exactly
-        equivalent to a synchronous ingest of every record submitted so
-        far — never a half-applied chunk from a concurrent producer.
-        The metadata records :attr:`records_submitted` (plus anything
-        the :attr:`checkpoint_meta` hook or the ``meta`` argument
-        adds), so a resumed run knows the exact stream offset to replay
-        from. Concurrent callers each write their own generation.
+        Requires a ``checkpoint_manager``. The generation captures a
+        state exactly equivalent to a synchronous ingest of every
+        record submitted so far — never a half-applied chunk from a
+        concurrent producer. The metadata records
+        :attr:`records_submitted` (plus anything the
+        :attr:`checkpoint_meta` hook or the ``meta`` argument adds), so
+        a resumed run knows the exact stream offset to replay from.
+        Concurrent callers each write their own generation, in turn.
         """
         if self.checkpoint_manager is None:
             raise RuntimeError(
                 "pipeline has no checkpoint_manager to checkpoint into"
             )
+        with self.paused():
+            return self._save_checkpoint(meta)
+
+    def _save_checkpoint(self, meta: dict[str, Any] | None) -> "Generation":
+        """Save the paused pool as one generation."""
+        # __init__ refuses checkpoint_every without a manager.
+        assert self.checkpoint_manager is not None
+        merged: dict[str, Any] = {}
+        if self.checkpoint_meta is not None:
+            merged.update(self.checkpoint_meta())
+        if meta:
+            merged.update(meta)
         with self._lock:
-            self._paused += 1
-        return self._checkpoint_paused(
-            self.checkpoint_manager, meta, active_allowance=0
-        )
-
-    def _checkpoint_paused(
-        self,
-        manager: "CheckpointManager",
-        meta: dict[str, Any] | None,
-        active_allowance: int,
-    ) -> "Generation":
-        """Wait out in-flight submits, save one generation, resume.
-
-        The caller has counted this checkpoint in :attr:`_paused`; this
-        method always releases that count. ``active_allowance`` is the
-        number of in-flight submits allowed to remain registered: 0 for
-        an external caller, 1 when called *from inside* a submit (the
-        caller itself, which has released the lock).
-        """
-        try:
-            with self._lock:
-                while self._active_submits > active_allowance:
-                    self._lock.wait()
-                submitted = self.records_submitted
-            self.drain()
-            merged: dict[str, Any] = {}
-            if self.checkpoint_meta is not None:
-                merged.update(self.checkpoint_meta())
-            if meta:
-                merged.update(meta)
-            merged.setdefault("records_submitted", submitted)
-            generation = manager.save(self.pool, meta=merged)
-            with self._lock:
-                self._records_since_checkpoint = 0
-            return generation
-        finally:
-            with self._lock:
-                self._paused -= 1
-                self._lock.notify_all()
+            merged.setdefault("records_submitted", self.records_submitted)
+        generation = self.checkpoint_manager.save(self.pool, meta=merged)
+        with self._lock:
+            self._records_since_checkpoint = 0
+        return generation
 
     def drain(self) -> None:
         """Wait for any chunk being applied, then surface a latched failure.
@@ -372,18 +392,19 @@ class IngestPipeline:
         return self.pool.query()
 
     def close(self) -> None:
-        """Refuse new submits, wait out in-flight ones, surface any failure.
+        """Refuse new submits and pauses, wait out in-flight ones, surface
+        any failure.
 
         Thread-safe and idempotent: every call flips the pipeline to
-        closed, wakes submits parked at the pause gate (they raise),
-        waits until no submit is in flight and then drains — so a
-        submit racing a close either completes before ``close`` returns
-        or raises ``RuntimeError``.
+        closed, wakes submits and pauses parked at the gate (they
+        raise), waits until no submit or pause is in flight and then
+        drains — so a submit racing a close either completes before
+        ``close`` returns or raises ``RuntimeError``.
         """
         with self._lock:
             self._closed = True
             self._lock.notify_all()
-            while self._active_submits:
+            while self._active_submits or self._paused:
                 self._lock.wait()
         self.drain()
 

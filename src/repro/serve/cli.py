@@ -193,11 +193,6 @@ async def _run(args: "argparse.Namespace") -> int:
         await stopping.wait()
     finally:
         serving.cancel()
-        # analysis: allow(asyncio.unshielded-gate) -- lifecycle
-        # shutdown in the top-level task, after the signal already
-        # fired: nothing cancels this await except process teardown
-        # itself, and shielding it would detach the drain from the
-        # SIGTERM-driven exit path it implements.
         final = await server.stop()
         if final is not None:
             print(

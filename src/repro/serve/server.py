@@ -27,13 +27,20 @@ executor thread running ``submit`` before it is acknowledged, so a
 flooding producer stalls in its own lane; it cannot exhaust server
 memory.
 
-**Ingest vs checkpoint.** RECORDs hold a shared (reader) side of an
-async gate; CHECKPOINT — and the final checkpoint of :meth:`stop` —
-takes the exclusive side, drains every pipeline to a safe point and
-saves the whole registry as one atomic
-:class:`~repro.engine.recovery.CheckpointManager` generation. A server
-restarted with ``resume=True`` restores the newest valid generation
-and continues bit-exact from that safe point.
+**Quiescing, one tenant at a time.** Tenants are independent flows,
+so no verb needs them all still at once; the only pause is a tenant
+pipeline's own :meth:`~repro.engine.pipeline.IngestPipeline.paused`.
+EXPORT and MERGE_IN run under their tenant's pause. CHECKPOINT pauses
+each tenant in turn, only while it copies that tenant's pool bytes and
+record counts, then writes and fsyncs the registry image with no pause
+held, so each tenant of a generation is cut at one of its own RECORD
+boundaries. :meth:`CardinalityServer.stop` closes every pipeline, then
+writes the final generation. Each such verb is one executor job whose
+pause is released however the job ends, so a client that vanishes
+mid-verb only loses its reply. Tenants are created on the event-loop
+thread alone, and each job works from the pipelines it was handed. A
+server restarted with ``resume=True`` restores the newest valid
+generation and continues bit-exact from it.
 
 **Estimates are lock-free.** ESTIMATE reads the tenant pool's O(1)
 query directly — no drain, no locks, no allocation for unknown tenants.
@@ -46,9 +53,10 @@ at O(1) cost.
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
 from collections import deque
-from typing import TYPE_CHECKING, cast
+from typing import TYPE_CHECKING, Iterable, cast
 
 from repro.engine.pipeline import DEFAULT_CHUNK, IngestPipeline
 from repro.estimators.base import CardinalityEstimator, IncompatibleSketchError
@@ -96,54 +104,40 @@ _SLOW_VERBS = frozenset(
 #: sent on every STATS request and must stay bounded).
 STATS_TENANT_DETAIL_LIMIT = 256
 
+#: Metric name of each verb served on the sequential path.
+_VERB_NAMES = {
+    Record: "record",
+    Export: "export",
+    MergeIn: "merge_in",
+    Checkpoint: "checkpoint",
+}
 
-class _IngestGate:
-    """A tiny async reader/writer gate.
 
-    RECORD handlers hold the shared side; CHECKPOINT and shutdown take
-    the exclusive side. A pending writer blocks *new* readers (no
-    writer starvation) and then waits out the in-flight ones, so the
-    pipelines it drains are quiesced — the asyncio twin of the
-    pipeline's own producer pause gate.
-    """
+def _counts(pipeline: IngestPipeline) -> tuple[int, int, int]:
+    """One pipeline's (submitted, applied, dropped) record counts."""
+    return (
+        pipeline.records_submitted,
+        pipeline.records_applied,
+        pipeline.records_dropped,
+    )
 
-    def __init__(self) -> None:
-        self._readers = 0  # guarded-by: _condition
-        self._writer = False  # guarded-by: _condition
-        self._condition = asyncio.Condition()
 
-    async def acquire_read(self) -> None:
-        async with self._condition:
-            while self._writer:
-                await self._condition.wait()
-            self._readers += 1
+def _totals(counts: Iterable[tuple[int, int, int]]) -> tuple[int, int, int]:
+    """Per-tenant (submitted, applied, dropped) record counts, summed."""
+    submitted = applied = dropped = 0
+    for tenant_submitted, tenant_applied, tenant_dropped in counts:
+        submitted += tenant_submitted
+        applied += tenant_applied
+        dropped += tenant_dropped
+    return submitted, applied, dropped
 
-    async def release_read(self) -> None:
-        async with self._condition:
-            self._readers -= 1
-            if not self._readers:
-                self._condition.notify_all()
 
-    async def acquire_write(self) -> None:
-        async with self._condition:
-            while self._writer:
-                await self._condition.wait()
-            self._writer = True
-            try:
-                while self._readers:
-                    await self._condition.wait()
-            except asyncio.CancelledError:
-                # Cancelled while waiting out readers (a client can
-                # vanish mid-CHECKPOINT): roll the claim back, or every
-                # future writer *and reader* would block forever.
-                self._writer = False
-                self._condition.notify_all()
-                raise
-
-    async def release_write(self) -> None:
-        async with self._condition:
-            self._writer = False
-            self._condition.notify_all()
+def _merge_into(pipeline: IngestPipeline, frame: bytes) -> float:
+    """Fold a sketch frame into a tenant's pool under its pause."""
+    sketch = decode_sketch(frame)  # ValueError -> E_BAD_PAYLOAD
+    with pipeline.paused():
+        pipeline.pool.merge(sketch)  # typed incompatibility errors propagate
+        return float(pipeline.pool.query())
 
 
 class _Connection(asyncio.Protocol):
@@ -296,7 +290,10 @@ class CardinalityServer:
         self.last_generation = 0
         self._pipelines: dict[str, IngestPipeline] = {}
         self._connections: set[_Connection] = set()
-        self._gate = _IngestGate()
+        # Held over a CHECKPOINT's copy and write and over stop()'s
+        # close and final write, so generations are numbered in the
+        # order their states were taken and the final one is newest.
+        self._saving = threading.Lock()
         self._listener: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop = None  # type: ignore[assignment]
         self._shutting_down = False
@@ -356,6 +353,8 @@ class CardinalityServer:
                     )
                 self.registry = restored
                 self.last_generation = generation.generation
+                for tenant in restored.tenants():
+                    self._pipeline(tenant)  # every tenant has a pipeline
         self._listener = await self._loop.create_server(
             lambda: _Connection(self), host, port
         )
@@ -373,41 +372,38 @@ class CardinalityServer:
             pass
 
     async def stop(self) -> "Generation | None":
-        """Graceful drain: stop accepting, quiesce, checkpoint, close.
+        """Graceful drain: stop accepting, close every pipeline, checkpoint.
 
-        New RECORD/CHECKPOINT requests are refused with SHUTTING_DOWN
-        while in-flight ones are waited out (the exclusive gate); every
-        pipeline is then closed (which drains it) and — when a manager
-        is configured — one final generation captures the fully-applied
+        New RECORD/CHECKPOINT/EXPORT/MERGE_IN requests are refused with
+        SHUTTING_DOWN. Every pipeline is then closed, which waits out
+        its in-flight submits and pauses, and — when a manager is
+        configured — one final generation captures the fully-applied
         registry, so a ``resume`` restart is bit-exact with no replay.
+        A CHECKPOINT still being written finishes first, so the final
+        generation is the newest.
         """
         self._shutting_down = True
         if self._listener is not None:
             self._listener.close()
             await self._listener.wait_closed()
-        await self._gate.acquire_write()
-        try:
-            final = await self._loop.run_in_executor(
-                None, self._close_and_checkpoint
-            )
-        finally:
-            await self._gate.release_write()
+        final = await self._loop.run_in_executor(
+            None, self._close_and_checkpoint, list(self._pipelines.values())
+        )
         for connection in list(self._connections):
             if connection.transport is not None:
                 connection.transport.close()
         return final
 
-    def _close_and_checkpoint(self) -> "Generation | None":
-        for pipeline in self._pipelines.values():
-            pipeline.close()
-        if self.checkpoint_manager is None:
-            return None
-        generation = self.checkpoint_manager.save(
-            cast(CardinalityEstimator, self.registry),
-            meta=self._checkpoint_meta(final=True),
-        )
-        self.last_generation = generation.generation
-        return generation
+    def _close_and_checkpoint(
+        self, pipelines: list[IngestPipeline]
+    ) -> "Generation | None":
+        with self._saving:
+            for pipeline in pipelines:
+                pipeline.close()
+            if self.checkpoint_manager is None:
+                return None
+            counts = [_counts(pipeline) for pipeline in pipelines]
+            return self._save(self.registry, counts, final=True)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -461,7 +457,12 @@ class CardinalityServer:
         return response
 
     async def handle(self, body: bytes) -> bytes:
-        """Serve one frame on the sequential (backlog) path."""
+        """Serve one frame on the sequential (backlog) path.
+
+        RECORD, EXPORT, MERGE_IN and CHECKPOINT each run as one executor
+        job. Cancelling the await loses only the reply: the job, and the
+        pause it may hold, runs to its end regardless.
+        """
         metrics = self.metrics
         began = time.perf_counter() if metrics is not None else 0.0
         try:
@@ -475,58 +476,20 @@ class CardinalityServer:
         if metrics is not None:
             metrics.in_flight.inc()
         try:
-            if isinstance(request, Record):
-                response = await self._handle_record(request)
-                verb = "record"
-            elif isinstance(request, Export):
-                response = await self._handle_export(request)
-                verb = "export"
-            elif isinstance(request, MergeIn):
-                response = await self._handle_merge_in(request)
-                verb = "merge_in"
-            else:
-                assert isinstance(request, Checkpoint)
-                response = await self._handle_checkpoint()
-                verb = "checkpoint"
+            response = await self._respond_slow(request)
         finally:
             if metrics is not None:
                 metrics.in_flight.dec()
         if metrics is not None:
+            verb = _VERB_NAMES[type(request)]
             metrics.requests[verb].inc()
             metrics.latency[verb].observe(time.perf_counter() - began)
         return response
 
-    async def _handle_record(self, request: Record) -> bytes:
-        if self._shutting_down:
-            return self._error(
-                protocol.E_SHUTTING_DOWN, "server is draining"
-            )
-        # Shielded: a client disconnect cancels its backlog worker, but
-        # the submit keeps running in the executor regardless — the gate
-        # must stay held until it finishes, or a concurrent CHECKPOINT
-        # could capture a half-applied RECORD.
-        return await asyncio.shield(self._record_gated(request))
-
-    async def _record_gated(self, request: Record) -> bytes:
-        await self._gate.acquire_read()
-        try:
-            try:
-                pipeline = self._pipeline(request.tenant)
-            except TenantLimitError as error:
-                return self._error(protocol.E_OVERLOADED, str(error))
-            try:
-                accepted = await self._loop.run_in_executor(
-                    None, pipeline.submit, request.keys
-                )
-            except RuntimeError as error:
-                return self._error(protocol.E_INTERNAL, str(error))
-            # Every key is applied by now: a failed apply raised above.
-            return encode_response(RecordOk(int(accepted)))
-        finally:
-            await self._gate.release_read()
-
-    async def _handle_checkpoint(self) -> bytes:
-        if self.checkpoint_manager is None:
+    async def _respond_slow(
+        self, request: Record | Export | MergeIn | Checkpoint
+    ) -> bytes:
+        if isinstance(request, Checkpoint) and self.checkpoint_manager is None:
             return self._error(
                 protocol.E_INTERNAL,
                 "checkpointing is not configured (start the server with "
@@ -536,99 +499,43 @@ class CardinalityServer:
             return self._error(
                 protocol.E_SHUTTING_DOWN, "server is draining"
             )
-        # Shielded: cancellation mid-checkpoint (client disconnect) must
-        # not release the exclusive gate while the save still runs in
-        # the executor — the drain/save/release sequence is atomic with
-        # respect to connection lifetime.
-        return await asyncio.shield(self._checkpoint_gated())
-
-    async def _checkpoint_gated(self) -> bytes:
-        await self._gate.acquire_write()
+        run = self._loop.run_in_executor
         try:
-            generation = await self._loop.run_in_executor(
-                None, self._checkpoint_sync
+            if isinstance(request, Record):
+                pipeline = self._pipeline(request.tenant)
+                accepted = await run(None, pipeline.submit, request.keys)
+                # Every key is applied by now: a failed apply raised.
+                return encode_response(RecordOk(int(accepted)))
+            if isinstance(request, Export):
+                frame = await run(
+                    None, self._export_sync, request.tenant,
+                    self._pipelines.get(request.tenant),
+                )
+                return encode_response(ExportOk(frame))
+            if isinstance(request, MergeIn):
+                return await self._merge_in(request)
+            generation = await run(
+                None, self._checkpoint_sync, list(self._pipelines.items())
             )
-        except (OSError, RuntimeError, ValueError) as error:
-            return self._error(protocol.E_INTERNAL, str(error))
-        finally:
-            await self._gate.release_write()
-        return encode_response(CheckpointOk(generation.generation))
-
-    def _checkpoint_sync(self) -> "Generation":
-        # The exclusive gate guarantees no RECORD is mid-submit, so
-        # drain really is a safe point across every tenant at once.
-        for pipeline in self._pipelines.values():
-            pipeline.drain()
-        assert self.checkpoint_manager is not None
-        generation = self.checkpoint_manager.save(
-            cast(CardinalityEstimator, self.registry),
-            meta=self._checkpoint_meta(final=False),
-        )
-        self.last_generation = generation.generation
-        return generation
-
-    def _checkpoint_meta(self, final: bool) -> dict:
-        submitted, applied, dropped = self._record_totals()
-        return {
-            "records_submitted": submitted,
-            "records_applied": applied,
-            "records_dropped": dropped,
-            "tenants": len(self.registry),
-            "final": final,
-        }
-
-    async def _handle_export(self, request: Export) -> bytes:
-        if self._shutting_down:
-            return self._error(
-                protocol.E_SHUTTING_DOWN, "server is draining"
-            )
-        # Shielded like CHECKPOINT: the drain/encode must finish and the
-        # exclusive gate be released even if the client disconnects.
-        return await asyncio.shield(self._export_gated(request.tenant))
-
-    async def _export_gated(self, tenant: str) -> bytes:
-        await self._gate.acquire_write()
-        try:
-            frame = await self._loop.run_in_executor(
-                None, self._export_sync, tenant
-            )
-        except (RuntimeError, ValueError) as error:
-            return self._error(protocol.E_INTERNAL, str(error))
-        finally:
-            await self._gate.release_write()
-        return encode_response(ExportOk(frame))
-
-    def _export_sync(self, tenant: str) -> bytes:
-        # The exclusive gate quiesced ingest, so drain reaches a safe
-        # point and the exported frame is a consistent cut.
-        pipeline = self._pipelines.get(tenant)
-        if pipeline is not None:
-            pipeline.drain()
-        pool = self.registry.pools.get(tenant)
-        if pool is None:
-            # Unknown tenant: export a deterministic empty pool without
-            # registering it — EXPORT, like ESTIMATE, never mutates the
-            # registry, and the empty frame merges as the identity.
-            pool = self.config.build_pool(tenant)
-        return encode_sketch(pool)
-
-    async def _handle_merge_in(self, request: MergeIn) -> bytes:
-        if self._shutting_down:
-            return self._error(
-                protocol.E_SHUTTING_DOWN, "server is draining"
-            )
-        # Shielded: the registry pool mutates inside the executor; the
-        # gate must outlive any client disconnect mid-merge.
-        return await asyncio.shield(self._merge_in_gated(request))
-
-    async def _merge_in_gated(self, request: MergeIn) -> bytes:
-        await self._gate.acquire_write()
-        try:
-            estimate = await self._loop.run_in_executor(
-                None, self._merge_in_sync, request.tenant, request.frame
-            )
+            return encode_response(CheckpointOk(generation.generation))
         except TenantLimitError as error:
             return self._error(protocol.E_OVERLOADED, str(error))
+        except (OSError, RuntimeError, ValueError) as error:
+            # stop() closes every pipeline; a job that found its
+            # pipeline closed raised before changing anything.
+            code = (
+                protocol.E_SHUTTING_DOWN
+                if self._shutting_down
+                else protocol.E_INTERNAL
+            )
+            return self._error(code, str(error))
+
+    async def _merge_in(self, request: MergeIn) -> bytes:
+        pipeline = self._pipeline(request.tenant)
+        try:
+            estimate = await self._loop.run_in_executor(
+                None, _merge_into, pipeline, request.frame
+            )
         except (IncompatibleSketchError, TypeError, NotImplementedError) as error:
             # A bad sketch is the *request's* problem, not the
             # connection's: answer a typed error frame and keep serving.
@@ -637,23 +544,56 @@ class CardinalityServer:
             return self._error(
                 protocol.E_BAD_PAYLOAD, f"undecodable sketch frame: {error}"
             )
-        except RuntimeError as error:
-            return self._error(protocol.E_INTERNAL, str(error))
-        finally:
-            await self._gate.release_write()
         return encode_response(MergeInOk(estimate))
 
-    def _merge_in_sync(self, tenant: str, frame: bytes) -> float:
-        sketch = decode_sketch(frame)  # ValueError -> E_BAD_PAYLOAD
-        pipeline = self._pipelines.get(tenant)
-        if pipeline is not None:
-            # The pipeline mutates the registry pool in place; drain to
-            # a safe point (the gate already stopped producers) so the
-            # merge composes with fully-applied records.
-            pipeline.drain()
-        pool = self.registry.pool(tenant)  # may raise TenantLimitError
-        pool.merge(sketch)  # typed incompatibility errors propagate
-        return float(pool.query())
+    def _export_sync(
+        self, tenant: str, pipeline: IngestPipeline | None
+    ) -> bytes:
+        if pipeline is None:
+            # Unknown tenant: export a deterministic empty pool without
+            # registering it — EXPORT, like ESTIMATE, never mutates the
+            # registry, and the empty frame merges as the identity.
+            return encode_sketch(self.config.build_pool(tenant))
+        with pipeline.paused():
+            return encode_sketch(pipeline.pool)
+
+    def _checkpoint_sync(
+        self, tenants: list[tuple[str, IngestPipeline]]
+    ) -> "Generation":
+        image = TenantRegistry(self.config)
+        counts: list[tuple[int, int, int]] = []
+        with self._saving:
+            if self._shutting_down:
+                # stop() has written, or is about to write, the final
+                # generation; nothing may be numbered after it.
+                raise RuntimeError("server is draining")
+            for tenant, pipeline in tenants:
+                with pipeline.paused():
+                    image.images[tenant] = pipeline.pool.to_bytes()
+                    counts.append(_counts(pipeline))
+            return self._save(image, counts, final=False)
+
+    def _save(
+        self,
+        image: TenantRegistry,
+        counts: list[tuple[int, int, int]],
+        final: bool,
+    ) -> "Generation":
+        """Write one generation; the caller holds ``_saving``."""
+        assert self.checkpoint_manager is not None
+        submitted, applied, dropped = _totals(counts)
+        generation = self.checkpoint_manager.save(
+            cast(CardinalityEstimator, image),
+            meta={
+                "records_submitted": submitted,
+                "records_applied": applied,
+                "records_dropped": dropped,
+                "tenants": len(counts),
+                "final": final,
+            },
+        )
+        self.last_generation = generation.generation
+        return generation
 
     # ------------------------------------------------------------------
     # State
@@ -671,10 +611,9 @@ class CardinalityServer:
     def _estimate(self, tenant: str) -> float:
         """The tenant's live estimate (the ESTIMATE fast path).
 
-        A tenant with an active pipeline answers through its lock-free
-        ``query_live``. A tenant without a pipeline (restored from
-        checkpoint, no RECORD yet) answers from the registry; an
-        unknown tenant is 0.0 and allocates nothing.
+        Every known tenant has a pipeline and answers through its
+        lock-free ``query_live``; an unknown tenant reads 0.0 from the
+        registry and allocates nothing.
         """
         pipeline = self._pipelines.get(tenant)
         if pipeline is not None:
@@ -682,12 +621,7 @@ class CardinalityServer:
         return self.registry.estimate(tenant)
 
     def _record_totals(self) -> tuple[int, int, int]:
-        submitted = applied = dropped = 0
-        for pipeline in self._pipelines.values():
-            submitted += pipeline.records_submitted
-            applied += pipeline.records_applied
-            dropped += pipeline.records_dropped
-        return submitted, applied, dropped
+        return _totals(_counts(pipe) for pipe in self._pipelines.values())
 
     def stats_document(self) -> dict:
         """The STATS response body (also useful for in-process tests).

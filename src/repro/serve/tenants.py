@@ -38,6 +38,7 @@ import zlib
 from dataclasses import asdict, dataclass
 
 from repro.engine.shards import ShardPool
+from repro.estimators.base import CardinalityEstimator
 from repro.estimators.registry import register
 from repro.framing import require_consumed, take, unpack_header
 
@@ -118,13 +119,32 @@ class TenantConfig:
         )
 
 
-def _check_built_by(config: TenantConfig, name: str, pool: ShardPool) -> None:
+def _params(
+    shard: CardinalityEstimator, seed: int | None = None
+) -> tuple[str, dict[str, object]]:
+    """A shard's class and merge parameters; ``seed`` stands in for its seed."""
+    assert shard.state is not None  # every estimator a pool holds has one
+    params = {field: getattr(shard, field) for field in shard.state.merge_fields}
+    if seed is not None:
+        params["seed"] = seed
+    return type(shard).__name__, params
+
+
+def _check_built_by(
+    config: TenantConfig, name: str, pool: ShardPool, built: ShardPool | None
+) -> ShardPool:
     """Raise ``ValueError`` unless ``config.build_pool(name)`` could be ``pool``.
 
-    Shard count and memory are compared before anything is built, so a
-    config that the bytes cannot back allocates nothing: every estimator
-    uses at least 0.93 of the budget it is built for.
+    Pools of one config differ only in their seeds, so one pool built
+    by the config serves every tenant: ``built`` is it (``None`` at the
+    first tenant, which builds it; it is returned for the next), and
+    each pool is compared with it under ``config.tenant_seed(name)`` as
+    the partition seed and every shard's seed. Shard count and memory
+    are compared before anything is built, so a config that the bytes
+    cannot back allocates nothing: every estimator uses at least 0.93
+    of the budget it is built for.
     """
+    seed = config.tenant_seed(name)
     if pool.num_shards != config.shards:
         problem = f"{pool.num_shards} shards, the config builds {config.shards}"
     elif 2 * pool.memory_bits() < config.memory_bits:
@@ -132,12 +152,18 @@ def _check_built_by(config: TenantConfig, name: str, pool: ShardPool) -> None:
             f"{pool.memory_bits()} bits cannot hold the config's "
             f"{config.memory_bits}-bit budget"
         )
+    elif pool.seed != seed:
+        problem = f"partition seed {pool.seed}, the config builds {seed}"
     else:
-        try:
-            config.build_pool(name)._check_mergeable(pool)
-            return
-        except (TypeError, ValueError) as error:
-            problem = str(error)
+        if built is None:
+            built = config.build_pool(name)
+        for index, (mine, theirs) in enumerate(zip(built.shards, pool.shards)):
+            expected, got = _params(mine, seed), _params(theirs)
+            if expected != got:
+                problem = f"shard {index} is {got}, the config builds {expected}"
+                break
+        else:
+            return built
     raise ValueError(
         f"corrupt tenant registry: pool {name!r} does not match the "
         f"config: {problem}"
@@ -151,6 +177,10 @@ class TenantRegistry:
     def __init__(self, config: TenantConfig) -> None:
         self.config = config
         self.pools: dict[str, ShardPool] = {}
+        #: Pool images :meth:`to_bytes` lays out as they are, for
+        #: tenants with no pool here: a server's CHECKPOINT copies each
+        #: tenant's bytes at that tenant's own safe point.
+        self.images: dict[str, bytes] = {}
 
     # ------------------------------------------------------------------
     # Access
@@ -206,17 +236,18 @@ class TenantRegistry:
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
         """Canonical byte image: config, then pools sorted by name bytes."""
+        blobs = dict(self.images)
+        for name, pool in list(self.pools.items()):  # the tenants, once
+            blobs[name] = pool.to_bytes()
         config_raw = self.config.canonical_json().encode("utf-8")
         parts = [
             _HEADER.pack(_MAGIC, _VERSION, len(config_raw)),
             config_raw,
-            _COUNT.pack(len(self.pools)),
+            _COUNT.pack(len(blobs)),
         ]
-        for name in sorted(
-            self.pools, key=lambda tenant: tenant.encode("utf-8")
-        ):
+        for name in sorted(blobs, key=lambda tenant: tenant.encode("utf-8")):
             name_raw = name.encode("utf-8")
-            blob = self.pools[name].to_bytes()
+            blob = blobs[name]
             parts.append(_NAME.pack(len(name_raw)))
             parts.append(name_raw)
             parts.append(_BLOB.pack(len(blob)))
@@ -249,6 +280,7 @@ class TenantRegistry:
                 f"max_tenants {config.max_tenants}"
             )
         registry = cls(config)
+        built: ShardPool | None = None
         previous: bytes | None = None
         for __ in range(count):
             raw, offset = take(data, offset, _NAME.size, what, "name length")
@@ -267,7 +299,7 @@ class TenantRegistry:
             )
             name = name_raw.decode("utf-8")
             pool = ShardPool.from_bytes(blob)
-            _check_built_by(config, name, pool)
+            built = _check_built_by(config, name, pool, built)
             registry.pools[name] = pool
         require_consumed(data, offset, what)
         return registry

@@ -8,6 +8,7 @@ machine in ``test_engine_stateful.py``; the accuracy claim is pinned in
 
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -235,6 +236,31 @@ class TestPipeline:
         worker.join(timeout=30)
         assert not worker.is_alive(), "submit or close parked at the gate"
         assert done == [3, "closed"]
+
+
+    def test_close_waits_out_a_pause_and_refuses_later_ones(self):
+        pipe = IngestPipeline(smb_pool(num_shards=2))
+        entered = threading.Event()
+        events = []
+
+        def hold():
+            with pipe.paused():
+                events.append("paused")
+                entered.set()
+                time.sleep(0.2)
+                events.append("released")
+
+        holder = threading.Thread(target=hold, daemon=True)
+        holder.start()
+        assert entered.wait(timeout=30)
+        pipe.close()
+        events.append("closed")
+        holder.join(timeout=30)
+        assert not holder.is_alive()
+        assert events == ["paused", "released", "closed"]
+        with pytest.raises(RuntimeError, match="closed"):
+            with pipe.paused():
+                pass
 
 
 class TestCheckpoint:

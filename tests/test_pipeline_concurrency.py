@@ -22,10 +22,13 @@ the pipeline, and assert the post-fix invariants:
 - submit-vs-close resolves deterministically (late submits raise,
   nothing deadlocks, accounting still balances);
 - routing-hash accounting stays consistent with the record counters
-  under concurrency (the two are billed together, per chunk).
+  under concurrency (the two are billed together, per chunk);
+- a pause is its pool's only user: no other pause and no submit's
+  apply overlaps its body.
 """
 
 import asyncio
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -289,3 +292,51 @@ def test_contended_submits_equal_synchronous_ingest():
     assert sum(shard.applied for shard in pool.shards) == total
     assert pipe.records_submitted == pipe.records_applied == total
     assert pool.to_bytes() == oracle.to_bytes()
+
+
+def test_pauses_exclude_each_other_and_every_submit():
+    """Pausers and producers on more threads than cores, with a short
+    switch interval: inside a pause no other pause runs and no submit
+    applies, and every key still lands exactly once."""
+    pool = build_pool(num_shards=4)
+    pipe = IngestPipeline(pool, chunk_size=CHUNK)
+    holders: list[int] = []  # pause bodies running right now
+    overlaps: list[int] = []
+
+    def pauser(index: int) -> None:
+        for __ in range(BATCHES_PER_PRODUCER):
+            with pipe.paused():
+                holders.append(index)
+                submitted = pipe.records_submitted
+                time.sleep(0)  # invite any other thread in
+                if len(holders) > 1 or pipe.records_submitted != submitted:
+                    overlaps.append(index)
+                holders.remove(index)
+
+    def producer(index: int) -> None:
+        for batch_index in range(BATCHES_PER_PRODUCER):
+            pipe.submit(batch_for(index, batch_index))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(2 * PRODUCERS) as executor:
+            futures = [
+                executor.submit(work, index)
+                for index in range(PRODUCERS)
+                for work in (producer, pauser)
+            ]
+            for future in futures:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    pipe.close()
+    assert overlaps == []
+    oracle = build_pool(num_shards=4)
+    for index in range(PRODUCERS):
+        for batch_index in range(BATCHES_PER_PRODUCER):
+            oracle.record_many(batch_for(index, batch_index))
+    assert pool.to_bytes() == oracle.to_bytes()
+    with pytest.raises(RuntimeError, match="closed"):
+        with pipe.paused():
+            pass

@@ -30,13 +30,16 @@ import pytest
 
 from repro.core.theory import smb_error_bound
 from repro.core.tuning import optimal_threshold
+from repro.engine import checkpoint
 from repro.engine.pipeline import IngestPipeline
 from repro.engine.shards import ShardPool
 from repro.engine.recovery import CheckpointManager, RecoveryError, RetryPolicy
 from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.server import CardinalityServer, _IngestGate
+from repro.serve.server import STATS_TENANT_DETAIL_LIMIT, CardinalityServer
 from repro.serve.tenants import TenantConfig, TenantRegistry
+from repro.testing.faults import fault_plan
+from repro.wire import encode_sketch
 
 MEMORY_BITS = 5000
 DESIGN = 200_000
@@ -54,9 +57,10 @@ def make_config(**overrides) -> TenantConfig:
     return TenantConfig(**base)
 
 
-def manager(tmp_path) -> CheckpointManager:
+def manager(tmp_path, keep: int = 3) -> CheckpointManager:
     return CheckpointManager(
         tmp_path / "ckpts",
+        keep=keep,
         sync_directory=False,
         orphan_grace=0.0,
         retry=RetryPolicy(max_attempts=2, base_delay=0.0, sleep=lambda s: None),
@@ -77,6 +81,24 @@ def theorem3_tolerance(n: int, confidence: float = 0.99) -> float:
 
 async def start_server(server: CardinalityServer) -> tuple[str, int]:
     return await server.start("127.0.0.1", 0)
+
+
+def body_of(request) -> bytes:
+    """A request's frame body, as ``CardinalityServer.handle`` takes it."""
+    return protocol.encode_request(request)[4:]
+
+
+def response_of(framed: bytes):
+    return protocol.decode_response(framed[4:])
+
+
+def key_range(start: int, count: int) -> np.ndarray:
+    return np.arange(start, start + count, dtype=np.uint64)
+
+
+def record_body(tenant: str, start: int, count: int) -> bytes:
+    """The body of a RECORD of ``count`` consecutive keys from ``start``."""
+    return body_of(protocol.Record(tenant, key_range(start, count)))
 
 
 # ----------------------------------------------------------------------
@@ -331,97 +353,286 @@ def test_stats_document_shape():
 
 
 # ----------------------------------------------------------------------
-# Cancellation vs the ingest gate (client disconnect mid-verb)
+# Per-tenant pauses: cancellation, independence, stop ordering
 # ----------------------------------------------------------------------
 
-def test_ingest_gate_survives_cancelled_writer():
-    """A writer cancelled while waiting out readers must roll back.
-
-    Regression: ``acquire_write`` used to set ``_writer`` before
-    awaiting in-flight readers; cancellation at that await left the
-    claim in place forever, deadlocking every later RECORD, CHECKPOINT
-    and ``stop()``.
-    """
-
-    async def scenario():
-        gate = _IngestGate()
-        await gate.acquire_read()
-        writer = asyncio.create_task(gate.acquire_write())
-        await asyncio.sleep(0)  # writer claims the gate, parks on readers
-        await asyncio.sleep(0)
-        writer.cancel()
-        with pytest.raises(asyncio.CancelledError):
-            await writer
-        await gate.release_read()
-        # The gate must be fully usable afterwards, in both directions.
-        await asyncio.wait_for(gate.acquire_write(), timeout=2.0)
-        await gate.release_write()
-        await asyncio.wait_for(gate.acquire_read(), timeout=2.0)
-        await gate.release_read()
-
-    asyncio.run(scenario())
+def sleep_for(seconds: float):
+    """A failpoint action that holds its thread for ``seconds``."""
+    return lambda: time.sleep(seconds)
 
 
-def test_cancelled_checkpoint_does_not_wedge_the_gate(
-    tmp_path, monkeypatch
+@pytest.mark.parametrize("verb", ["checkpoint", "export", "merge_in"])
+def test_cancelled_verb_parked_behind_a_slow_record_wedges_nothing(
+    tmp_path, verb
 ):
-    """Cancelling a CHECKPOINT parked behind a RECORD leaves no debris.
+    """A client that vanishes mid-verb loses its reply and nothing else.
 
-    The per-connection worker is cancelled when a client disconnects
-    mid-verb; the exclusive side of the gate (and the checkpoint work
-    itself) must survive that and keep serving everyone else.
+    The verb's job runs on in its executor thread and releases its
+    pause, so RECORD, CHECKPOINT and stop() all still complete, and a
+    cancelled MERGE_IN has still folded its sketch in.
     """
-    real_submit = IngestPipeline.submit
-
-    def slow_submit(self, items):
-        time.sleep(0.3)  # hold the read gate long enough to race
-        return real_submit(self, items)
-
-    monkeypatch.setattr(IngestPipeline, "submit", slow_submit)
-
-    def body_of(request) -> bytes:
-        (body,) = protocol.FrameDecoder().feed(
-            protocol.encode_request(request)
-        )
-        return body
-
-    def response_of(framed: bytes):
-        (body,) = protocol.FrameDecoder().feed(framed)
-        return protocol.decode_response(body)
+    config = make_config(estimator="HLL")
+    donor = config.build_pool("alpha")
+    donor.record_many(key_range(10**6, 500))
+    request = {
+        "checkpoint": protocol.Checkpoint(),
+        "export": protocol.Export("alpha"),
+        "merge_in": protocol.MergeIn("alpha", encode_sketch(donor)),
+    }[verb]
 
     async def scenario():
         server = CardinalityServer(
-            make_config(), checkpoint_manager=manager(tmp_path)
+            config, checkpoint_manager=manager(tmp_path)
         )
-        await server.start("127.0.0.1", 0)
+        await start_server(server)
         try:
-            record = server._loop.create_task(
-                server.handle(
-                    body_of(
-                        protocol.Record(
-                            "alpha", np.arange(64, dtype=np.uint64)
-                        )
-                    )
+            await server.handle(record_body("alpha", 0, 64))
+            with fault_plan() as plan:
+                # The next RECORD sleeps mid-apply, inside its submit.
+                plan.arm("pipeline.worker-apply", action=sleep_for(0.3))
+                record = asyncio.ensure_future(
+                    server.handle(record_body("alpha", 64, 64))
                 )
+                await asyncio.sleep(0.05)  # the RECORD is mid-apply
+                parked = asyncio.ensure_future(server.handle(body_of(request)))
+                await asyncio.sleep(0.05)  # the verb waits for its pause
+                parked.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await parked
+                assert isinstance(response_of(await record), protocol.RecordOk)
+            answer = await asyncio.wait_for(
+                server.handle(record_body("alpha", 128, 64)), timeout=5.0
             )
-            await asyncio.sleep(0.05)  # RECORD holds the read gate
-            checkpoint = server._loop.create_task(
-                server.handle(body_of(protocol.Checkpoint()))
-            )
-            await asyncio.sleep(0.05)  # CHECKPOINT waits out the reader
-            checkpoint.cancel()
-            with pytest.raises(asyncio.CancelledError):
-                await checkpoint
-            assert isinstance(response_of(await record), protocol.RecordOk)
-            # The gate must not be wedged: a fresh CHECKPOINT completes.
+            assert response_of(answer) == protocol.RecordOk(64)
             answer = await asyncio.wait_for(
                 server.handle(body_of(protocol.Checkpoint())), timeout=5.0
             )
             assert isinstance(response_of(answer), protocol.CheckpointOk)
         finally:
             await asyncio.wait_for(server.stop(), timeout=10.0)
+        return server.registry.to_bytes()
+
+    image = asyncio.run(scenario())
+    oracle = TenantRegistry(config)
+    oracle.record_many("alpha", key_range(0, 192))
+    if verb == "merge_in":
+        oracle.pools["alpha"].merge(donor)
+    assert image == oracle.to_bytes()
+
+
+def test_export_is_not_held_by_another_tenants_record():
+    """EXPORT pauses only its own tenant: a RECORD of tenant ``b`` held
+    mid-apply for 0.5 s does not delay an EXPORT of tenant ``a``."""
+
+    async def scenario():
+        server = CardinalityServer(make_config())
+        await start_server(server)
+        try:
+            await server.handle(record_body("a", 0, 1000))
+            with fault_plan() as plan:
+                plan.arm("pipeline.worker-apply", action=sleep_for(0.5))
+                held = asyncio.ensure_future(
+                    server.handle(record_body("b", 0, 64))
+                )
+                await asyncio.sleep(0.05)  # b's submit is mid-apply
+                began = time.perf_counter()
+                answer = await server.handle(body_of(protocol.Export("a")))
+                elapsed = time.perf_counter() - began
+                await held
+        finally:
+            await server.stop()
+        return response_of(answer), elapsed
+
+    answer, elapsed = asyncio.run(scenario())
+    assert isinstance(answer, protocol.ExportOk)
+    assert elapsed < 0.1, f"EXPORT of a took {elapsed * 1e3:.0f} ms"
+
+
+def test_cancelled_checkpoint_mid_write_then_stop_keeps_final_newest(tmp_path):
+    """A CHECKPOINT cancelled while its write is held at
+    ``checkpoint.pre-fsync`` still finishes first; the RECORDs that land
+    meanwhile reach stop()'s final generation, which a resume restores."""
+    config = make_config()
+    oracle = TenantRegistry(config)
+
+    async def first_run():
+        server = CardinalityServer(
+            config, checkpoint_manager=manager(tmp_path)
+        )
+        await start_server(server)
+        for tenant in ("a", "b"):
+            await server.handle(record_body(tenant, 0, 500))
+            oracle.record_many(tenant, key_range(0, 500))
+        with fault_plan() as plan:
+            plan.arm("checkpoint.pre-fsync", action=sleep_for(0.3))
+            saving = asyncio.ensure_future(
+                server.handle(body_of(protocol.Checkpoint()))
+            )
+            await asyncio.sleep(0.05)  # the write is held at pre-fsync
+            saving.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await saving
+            # No pause is held while a generation is written.
+            answer = await server.handle(record_body("a", 500, 500))
+            assert response_of(answer) == protocol.RecordOk(500)
+            oracle.record_many("a", key_range(500, 500))
+            final = await asyncio.wait_for(server.stop(), timeout=10.0)
+        return final.generation
+
+    async def resumed_run():
+        server = CardinalityServer(
+            config, checkpoint_manager=manager(tmp_path), resume=True
+        )
+        await start_server(server)
+        try:
+            return server.last_generation, server.registry.to_bytes()
+        finally:
+            await server.stop()
+
+    final = asyncio.run(first_run())
+    assert final == 2  # the cancelled CHECKPOINT still wrote generation 1
+    resumed, image = asyncio.run(resumed_run())
+    assert resumed == final
+    assert image == oracle.to_bytes()
+
+
+def test_every_generation_cuts_each_tenant_at_a_record_boundary(tmp_path):
+    """One connection per tenant feeds RECORDs while CHECKPOINTs run:
+    each generation restores every tenant to a prefix of its own RECORD
+    stream (tenants are cut independently, each at a RECORD boundary).
+    Each RECORD dwells between its two shards' applies, where a cut
+    would tear it."""
+    config = make_config(shards=2)
+    tenants = ["a", "b", "c"]
+    batches = 12
+    size = 700
+
+    def batch(tenant_index: int, index: int) -> np.ndarray:
+        return key_range((tenant_index + 1) * 10**9 + index * size, size)
+
+    async def feed(host, port, tenant_index):
+        async with await ServeClient.connect(host, port) as client:
+            for index in range(batches):
+                await client.record(
+                    tenants[tenant_index], batch(tenant_index, index)
+                )
+
+    async def scenario():
+        server = CardinalityServer(
+            config, checkpoint_manager=manager(tmp_path, keep=100)
+        )
+        host, port = await start_server(server)
+        try:
+            with fault_plan() as plan:
+                plan.arm(
+                    "pipeline.worker-apply", action=sleep_for(0.002),
+                    times=10**9,
+                )
+                feeders = [
+                    asyncio.ensure_future(feed(host, port, index))
+                    for index in range(len(tenants))
+                ]
+                async with await ServeClient.connect(host, port) as control:
+                    while not all(feeder.done() for feeder in feeders):
+                        await control.checkpoint()
+                await asyncio.gather(*feeders)
+        finally:
+            await server.stop()
 
     asyncio.run(scenario())
+    oracle = TenantRegistry(config)
+    prefixes = {}
+    for tenant_index, tenant in enumerate(tenants):
+        pool = oracle.pool(tenant)
+        prefixes[tenant] = {pool.to_bytes()}
+        for index in range(batches):
+            pool.record_many(batch(tenant_index, index))
+            prefixes[tenant].add(pool.to_bytes())
+    *taken, final = manager(tmp_path, keep=100).generations()
+    assert taken and final.meta["final"]
+    for generation in taken:
+        registry = checkpoint.load(generation.path)
+        for tenant, pool in registry.pools.items():
+            at_boundary = pool.to_bytes() in prefixes[tenant]
+            assert at_boundary, (
+                f"generation {generation.generation} cut {tenant!r} "
+                "mid-RECORD"
+            )
+    # stop()'s final generation holds every RECORD of every tenant.
+    assert checkpoint.load(final.path).to_bytes() == oracle.to_bytes()
+
+
+@pytest.mark.parametrize("verb", ["record", "merge_in"])
+def test_verb_reaching_a_closed_pipeline_is_shutting_down(
+    tmp_path, monkeypatch, verb
+):
+    """A verb admitted before stop() whose job reaches its pipeline
+    after stop() closed it answers E_SHUTTING_DOWN and changes nothing:
+    the final generation and the registry hold only what came before."""
+    config = make_config(estimator="HLL")
+    donor = config.build_pool("alpha")
+    donor.record_many(key_range(10**6, 500))
+    request = {
+        "record": protocol.Record("alpha", key_range(1000, 100)),
+        "merge_in": protocol.MergeIn("alpha", encode_sketch(donor)),
+    }[verb]
+
+    async def scenario():
+        server = CardinalityServer(
+            config, checkpoint_manager=manager(tmp_path)
+        )
+        await start_server(server)
+        await server.handle(record_body("alpha", 0, 1000))
+        real_submit, real_paused = IngestPipeline.submit, IngestPipeline.paused
+
+        def late_submit(self, items):
+            time.sleep(0.2)  # stop() closes the pipeline meanwhile
+            return real_submit(self, items)
+
+        def late_paused(self):
+            time.sleep(0.2)
+            return real_paused(self)
+
+        monkeypatch.setattr(IngestPipeline, "submit", late_submit)
+        monkeypatch.setattr(IngestPipeline, "paused", late_paused)
+        late = asyncio.ensure_future(server.handle(body_of(request)))
+        await asyncio.sleep(0)  # admitted: its job is on its way
+        final = await server.stop()
+        return response_of(await late), final, server.registry.to_bytes()
+
+    answer, final, image = asyncio.run(scenario())
+    assert isinstance(answer, protocol.Error)
+    assert answer.code == protocol.E_SHUTTING_DOWN
+    oracle = TenantRegistry(config)
+    oracle.record_many("alpha", key_range(0, 1000))
+    assert image == oracle.to_bytes()
+    assert checkpoint.load(final.path).to_bytes() == oracle.to_bytes()
+
+
+@pytest.mark.parametrize(
+    "tenants, detailed",
+    [(STATS_TENANT_DETAIL_LIMIT, True), (STATS_TENANT_DETAIL_LIMIT + 1, False)],
+)
+def test_stats_tenant_detail_limit_boundary(tenants, detailed):
+    """STATS carries ``per_tenant`` up to the limit, and not past it."""
+
+    async def scenario():
+        server = CardinalityServer(make_config())
+        await start_server(server)
+        try:
+            for index in range(tenants):
+                await server.handle(record_body(f"t{index}", index, 1))
+            return response_of(
+                await server.handle(body_of(protocol.Stats()))
+            ).document
+        finally:
+            await server.stop()
+
+    document = asyncio.run(scenario())
+    assert document["tenants"] == tenants
+    assert ("per_tenant" in document) is detailed
+    if detailed:
+        assert len(document["per_tenant"]) == tenants
 
 
 # ----------------------------------------------------------------------
