@@ -173,9 +173,8 @@ class ServeClient:
         """Pipeline one ESTIMATE per tenant in a single write."""
         if not tenants:
             return []
-        self._writer.write(
-            b"".join(encode_request(Estimate(t)) for t in tenants)
-        )
+        frames = {t: encode_request(Estimate(t)) for t in dict.fromkeys(tenants)}
+        self._writer.write(b"".join(map(frames.__getitem__, tenants)))
         await self._writer.drain()
         responses = await self._read_responses(len(tenants))
         return [

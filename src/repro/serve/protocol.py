@@ -58,8 +58,8 @@ framing loss:
   and the server closes the connection after one final error frame.
 
 The codec is dependency-light (``struct`` + NumPy for the key arrays)
-and shared verbatim by the server, the client and the load generator,
-so there is exactly one encoding of every message in the codebase.
+and shared verbatim by the server and the client, so there is exactly
+one encoding of every message in the codebase.
 """
 
 from __future__ import annotations
@@ -120,6 +120,11 @@ __all__ = [
 #: batch (8 MiB of keys) with headroom; small enough that a corrupted
 #: length prefix cannot make the decoder buffer gigabytes.
 DEFAULT_MAX_FRAME = 16 * 1024 * 1024
+
+#: A frame whose length prefix and body fit in this many bytes is
+#: received into a :class:`FrameDecoder`'s reusable scratch buffer and
+#: copied out; a larger frame is received into a buffer of its own.
+SCRATCH_BYTES = 64 * 1024
 
 #: Longest tenant name in utf-8 bytes.
 MAX_TENANT_BYTES = 255
@@ -184,7 +189,9 @@ class Record:
     """RECORD: ingest a batch of keys into one tenant's estimator."""
 
     tenant: str
-    keys: np.ndarray = field(repr=False)  # uint64, C-contiguous
+    #: uint64, C-contiguous. A decoded RECORD's keys may be a read-only
+    #: view of its request body (see :func:`decode_request`).
+    keys: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -416,9 +423,12 @@ def decode_request(body: bytes | memoryview) -> Request:
 
     Raises :class:`ProtocolError` (non-fatal) for an unknown verb or a
     payload that is truncated, malformed, or carries trailing bytes.
-    The ``keys`` array of a decoded :class:`Record` owns its memory —
-    callers may hand it to another thread even when ``body`` aliases a
-    reusable receive buffer.
+    The ``keys`` array of a decoded :class:`Record` is a read-only view
+    of ``body`` when ``body`` is read-only and the keys start 8-byte
+    aligned (as :class:`FrameDecoder` places a large RECORD); otherwise
+    it is a copy that owns its memory. Either way callers may hand it to
+    another thread, even when a writable ``body`` aliases a reusable
+    receive buffer.
     """
     payload = memoryview(body)
     if not len(payload):
@@ -441,11 +451,12 @@ def decode_request(body: bytes | memoryview) -> Request:
                 f"key payload is {len(payload) - offset} bytes, "
                 f"expected {expected} for {count} keys",
             )
-        # frombuffer would alias the caller's (mutable, reusable)
-        # receive buffer; copy so the batch can cross threads safely.
-        keys = np.frombuffer(
-            payload, dtype="<u8", count=count, offset=offset
-        ).astype(np.uint64, copy=True)
+        keys = np.frombuffer(payload, dtype="<u8", count=count, offset=offset)
+        if not (payload.readonly and keys.flags.aligned):
+            # A writable body may be a reusable receive buffer, and an
+            # unaligned view hashes slower than a copy: copy so the
+            # batch owns its memory and can cross threads safely.
+            keys = keys.astype(np.uint64, copy=True)
         return Record(tenant, keys)
     if verb == STATS:
         _exactly_consumed(payload, 1)
@@ -535,65 +546,146 @@ def decode_response(body: bytes | memoryview) -> Response:
 class FrameDecoder:
     """Incremental frame splitter over a byte stream.
 
-    Feed it arbitrary chunks; it yields complete frame *bodies* (as
-    ``bytes``) and buffers the remainder. A zero or oversized length
-    prefix raises a **fatal** :class:`ProtocolError`: past that point
+    Bytes are received in place: :meth:`get_buffer` returns where the
+    next bytes go, and :meth:`received` takes the count written there
+    and yields every frame *body* those bytes complete, so an
+    :class:`asyncio.BufferedProtocol` receives straight into it.
+    :meth:`feed` copies a chunk in through the same two calls.
+
+    A frame whose length prefix and body fit in :data:`SCRATCH_BYTES` is
+    received into a reusable scratch buffer and yielded as ``bytes``. A
+    larger frame gets a buffer of its own once its first three body
+    bytes are in: NumPy memory, committed only as bytes arrive, placed
+    so that a RECORD's keys start 8-byte aligned. It is yielded as a
+    read-only ``memoryview`` that the decoder keeps no reference to, so
+    :func:`decode_request` can view its keys without a copy.
+
+    A zero or oversized length prefix raises a **fatal**
+    :class:`ProtocolError` before anything is allocated: past that point
     the stream offset of the next frame is unknowable, so the caller
     must close the connection. Truncation is not an error while the
     stream is live (more bytes may arrive); at EOF, call
     :meth:`check_eof` to reject a partial trailing frame.
     """
 
-    __slots__ = ("_buffer", "_max_frame")
+    __slots__ = ("_max_frame", "_scratch", "_start", "_end", "_frame", "_filled")
 
     def __init__(self, max_frame: int = DEFAULT_MAX_FRAME) -> None:
         if max_frame < 1:
             raise ValueError(f"max_frame must be >= 1, got {max_frame}")
-        self._buffer = bytearray()
         self._max_frame = int(max_frame)
+        self._scratch = memoryview(bytearray(SCRATCH_BYTES))
+        self._start = 0  # first byte of _scratch not yet yielded
+        self._end = 0  # end of the bytes received into _scratch
+        self._frame: memoryview | None = None  # body of a frame of its own
+        self._filled = 0  # bytes of _frame received so far
 
     @property
     def buffered(self) -> int:
-        """Bytes currently buffered (an incomplete trailing frame)."""
-        return len(self._buffer)
+        """Bytes received but not yet yielded (an incomplete trailing frame)."""
+        if self._frame is not None:
+            return _LENGTH.size + self._filled
+        return self._end - self._start
 
-    def feed(self, data: bytes) -> Iterator[bytes]:
-        """Buffer ``data`` and yield every now-complete frame body."""
-        self._buffer += data
-        view = memoryview(self._buffer)
-        offset = 0
-        try:
-            while len(view) - offset >= _LENGTH.size:
-                (length,) = _LENGTH.unpack_from(view, offset)
-                if length == 0:
-                    raise ProtocolError(
-                        E_BAD_FRAME, "zero-length frame", fatal=True
-                    )
-                if length > self._max_frame:
-                    raise ProtocolError(
-                        E_BAD_FRAME,
-                        f"frame of {length} bytes exceeds the "
-                        f"{self._max_frame}-byte limit",
-                        fatal=True,
-                    )
-                if len(view) - offset - _LENGTH.size < length:
-                    break  # incomplete: wait for more bytes
-                start = offset + _LENGTH.size
-                yield bytes(view[start:start + length])
-                offset = start + length
-        finally:
-            # Always drop fully-consumed bytes, even when the caller
-            # abandons the iterator mid-way or a fatal error unwinds.
-            view.release()
-            if offset:
-                del self._buffer[:offset]
+    def get_buffer(self) -> memoryview:
+        """The writable, non-empty view the next received bytes go to.
+
+        Write at most its length to its front, then call :meth:`received`.
+        A frame of its own asks for exactly its missing bytes, so one
+        receive never runs past it into the next frame.
+        """
+        if self._frame is not None:
+            return self._frame[self._filled:]
+        if self._start and (
+            self._start == self._end or self._end == len(self._scratch)
+        ):
+            # The incomplete frame left at the tail fits at the front.
+            held = self._end - self._start
+            self._scratch[:held] = self._scratch[self._start:self._end]
+            self._start, self._end = 0, held
+        return self._scratch[self._end:]
+
+    def received(self, nbytes: int) -> Iterator[bytes | memoryview]:
+        """Take ``nbytes`` written to the last :meth:`get_buffer` view.
+
+        Returns an iterator over every frame body now complete. The bytes
+        count at once; bodies are split off as it is consumed, so consume
+        it before the next :meth:`get_buffer`.
+        """
+        if self._frame is None:
+            self._end += nbytes
+        else:
+            self._filled += nbytes
+        return self._bodies()
+
+    def _bodies(self) -> Iterator[bytes | memoryview]:
+        frame = self._frame
+        if frame is not None:
+            if self._filled == len(frame):
+                self._frame = None
+                yield frame.toreadonly()
+            return
+        scratch = self._scratch
+        while self._end - self._start >= _LENGTH.size:
+            (length,) = _LENGTH.unpack_from(scratch, self._start)
+            if length == 0:
+                raise ProtocolError(E_BAD_FRAME, "zero-length frame", fatal=True)
+            if length > self._max_frame:
+                raise ProtocolError(
+                    E_BAD_FRAME,
+                    f"frame of {length} bytes exceeds the "
+                    f"{self._max_frame}-byte limit",
+                    fatal=True,
+                )
+            begin = self._start + _LENGTH.size
+            if _LENGTH.size + length > len(scratch):
+                self._open_frame(begin, length)
+                return
+            end = begin + length
+            if end > self._end:
+                return  # incomplete: wait for more bytes
+            self._start = end
+            yield bytes(scratch[begin:end])
+
+    def _open_frame(self, begin: int, length: int) -> None:
+        """Move a frame too large for scratch to a buffer of its own,
+        once its verb and tenant length, which decide where its keys
+        fall, are in."""
+        scratch = self._scratch
+        held = self._end - begin
+        if held < 1 + _U16.size:
+            return
+        # Up to 7 bytes of padding; the memory is committed as written.
+        buffer = np.empty(length + 7, np.uint8)
+        pad = 0
+        if scratch[begin] == RECORD:
+            # A RECORD's keys start 7 + tenant-length bytes into its body.
+            (tenant_length,) = _U16.unpack_from(scratch, begin + 1)
+            pad = -(buffer.ctypes.data + 7 + tenant_length) % 8
+        frame = memoryview(buffer)[pad:pad + length]
+        frame[:held] = scratch[begin:self._end]
+        self._frame, self._filled = frame, held
+        self._start = self._end = 0
+
+    def feed(self, data: bytes) -> Iterator[bytes | memoryview]:
+        """Copy ``data`` in and yield every now-complete frame body.
+
+        A loop over :meth:`get_buffer` and :meth:`received`; consume it
+        to the end, or the rest of ``data`` is not taken in.
+        """
+        view = memoryview(data)
+        while view:
+            buffer = self.get_buffer()
+            size = min(len(buffer), len(view))
+            buffer[:size] = view[:size]
+            view = view[size:]
+            yield from self.received(size)
 
     def check_eof(self) -> None:
         """Raise (fatal) if the stream ended inside a frame."""
-        if self._buffer:
+        if self.buffered:
             raise ProtocolError(
                 E_BAD_FRAME,
-                f"stream ended mid-frame ({len(self._buffer)} "
-                "buffered bytes)",
+                f"stream ended mid-frame ({self.buffered} buffered bytes)",
                 fatal=True,
             )

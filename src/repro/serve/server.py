@@ -5,27 +5,32 @@ protocol of :mod:`repro.serve.protocol` over a
 :class:`~repro.serve.tenants.TenantRegistry`, with one
 :class:`~repro.engine.pipeline.IngestPipeline` per active tenant.
 
-**Connection model.** Each connection is an ``asyncio.Protocol`` (the
-callback API, not streams — the hot ESTIMATE path must not pay a task
-switch per request). Responses are strictly FIFO per connection, so
-clients pipeline freely:
+**Connection model.** Each connection is an ``asyncio.BufferedProtocol``
+(the callback API, not streams — the hot ESTIMATE path must not pay a
+task switch per request). The transport receives straight into the
+connection's :class:`~repro.serve.protocol.FrameDecoder`: small frames
+into its scratch buffer, a large frame (a bulk RECORD) into a buffer of
+its own whose keys reach ``submit`` as a read-only view, uncopied.
+Responses are strictly FIFO per connection, so clients pipeline freely:
 
 - while a connection has no asynchronous work pending, fast verbs
   (ESTIMATE, STATS, malformed frames) are answered *inline* inside
-  ``data_received`` — a pipelined burst of ESTIMATEs is decoded,
-  served and answered with a single ``write`` per ``data_received``
-  call;
+  ``buffer_updated`` — a pipelined burst of ESTIMATEs is decoded,
+  served and answered with a single ``write`` per read;
 - the first slow verb (RECORD, CHECKPOINT) parks the connection's
   frames in a backlog drained by one sequential task, preserving order
   until the backlog empties, at which point the connection returns to
   inline mode.
 
-**Backpressure.** The per-connection backlog pauses the transport
-(``pause_reading``) above a high-water mark and resumes below a
-low-water mark. A RECORD is applied to its tenant's shards in the
-executor thread running ``submit`` before it is acknowledged, so a
-flooding producer stalls in its own lane; it cannot exhaust server
-memory.
+**Backpressure.** A connection stops reading (``pause_reading``) while
+its backlog holds more than :data:`BACKLOG_HIGH` frames or
+:data:`BACKLOG_HIGH_BYTES` body bytes, or while its transport's write
+buffer is above its high-water mark (a client that does not read its
+replies); it resumes once the backlog is below both low marks and the
+write buffer has drained. A RECORD is applied to its tenant's shards
+in the executor thread running ``submit`` before it is acknowledged,
+so a flooding producer stalls in its own lane; it cannot exhaust
+server memory.
 
 **Quiescing, one tenant at a time.** Tenants are independent flows,
 so no verb needs them all still at once; the only pause is a tenant
@@ -88,10 +93,13 @@ if TYPE_CHECKING:
 
 __all__ = ["CardinalityServer"]
 
-#: Per-connection backlog watermarks (frames). Above the high mark the
-#: transport stops reading; below the low mark it resumes.
+#: Per-connection backlog watermarks, in parked frames and in their
+#: body bytes. A connection stops reading while its backlog is above
+#: either high mark, and resumes once it is below both low marks.
 BACKLOG_HIGH = 64
 BACKLOG_LOW = 8
+BACKLOG_HIGH_BYTES = 1024 * 1024
+BACKLOG_LOW_BYTES = 256 * 1024
 
 #: Verbs served on the sequential path. ``handle_inline`` passes them
 #: on undecoded, so ``handle`` decodes each such body exactly once.
@@ -140,18 +148,20 @@ def _merge_into(pipeline: IngestPipeline, frame: bytes) -> float:
         return float(pipeline.pool.query())
 
 
-class _Connection(asyncio.Protocol):
-    """One client connection: frame splitting, FIFO dispatch, writes."""
+class _Connection(asyncio.BufferedProtocol):
+    """One client connection: in-place receive, FIFO dispatch, writes."""
 
     def __init__(self, server: "CardinalityServer") -> None:
         self._server = server
         self._decoder = FrameDecoder(server.max_frame)
-        self._backlog: deque[bytes] = deque()
+        self._backlog: deque[bytes | memoryview] = deque()
+        self._parked = 0  # body bytes in _backlog
         self._worker: asyncio.Task | None = None
         self._paused = False
+        self._write_paused = False  # write buffer above its high-water mark
         self.transport: asyncio.Transport | None = None
 
-    # -- asyncio.Protocol callbacks ------------------------------------
+    # -- asyncio.BufferedProtocol callbacks ----------------------------
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         self.transport = cast(asyncio.Transport, transport)
         self._server._register_connection(self)
@@ -162,24 +172,26 @@ class _Connection(asyncio.Protocol):
             self._worker.cancel()
         self._server._unregister_connection(self)
 
-    def data_received(self, data: bytes) -> None:
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._decoder.get_buffer()
+
+    def buffer_updated(self, nbytes: int) -> None:
         server = self._server
         if server.metrics is not None:
-            server.metrics.bytes_read.inc(len(data))
+            server.metrics.bytes_read.inc(nbytes)
         out = bytearray()
         try:
-            for body in self._decoder.feed(data):
-                if self._worker is not None:
-                    self._backlog.append(body)
-                    continue
-                response = server.handle_inline(body)
-                if response is None:
-                    self._backlog.append(body)
+            for body in self._decoder.received(nbytes):
+                if self._worker is None:
+                    response = server.handle_inline(body)
+                    if response is not None:
+                        out += response
+                        continue
                     self._worker = server._loop.create_task(
                         self._drain_backlog()
                     )
-                else:
-                    out += response
+                self._backlog.append(body)
+                self._parked += len(body)
         except ProtocolError as error:
             # Framing itself is lost: answer once, then hang up.
             out += encode_error(error.code, str(error))
@@ -196,6 +208,14 @@ class _Connection(asyncio.Protocol):
     def eof_received(self) -> bool:
         return False  # close when the peer half-closes
 
+    def pause_writing(self) -> None:
+        self._write_paused = True
+        self._maybe_pause()
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._maybe_resume()
+
     # -- internals -----------------------------------------------------
     def _write(self, payload: bytes) -> None:
         if self.transport is None:
@@ -207,8 +227,12 @@ class _Connection(asyncio.Protocol):
     def _maybe_pause(self) -> None:
         if (
             not self._paused
-            and len(self._backlog) > BACKLOG_HIGH
             and self.transport is not None
+            and (
+                len(self._backlog) > BACKLOG_HIGH
+                or self._parked > BACKLOG_HIGH_BYTES
+                or self._write_paused
+            )
         ):
             self._paused = True
             self.transport.pause_reading()
@@ -216,8 +240,10 @@ class _Connection(asyncio.Protocol):
     def _maybe_resume(self) -> None:
         if (
             self._paused
-            and len(self._backlog) < BACKLOG_LOW
             and self.transport is not None
+            and len(self._backlog) < BACKLOG_LOW
+            and self._parked < BACKLOG_LOW_BYTES
+            and not self._write_paused
         ):
             self._paused = False
             self.transport.resume_reading()
@@ -227,6 +253,8 @@ class _Connection(asyncio.Protocol):
         try:
             while self._backlog:
                 body = self._backlog.popleft()
+                self._parked -= len(body)
+                self._maybe_resume()
                 try:
                     response = await self._server.handle(body)
                 except Exception as error:
@@ -239,10 +267,9 @@ class _Connection(asyncio.Protocol):
                         protocol.E_INTERNAL, f"internal error: {error!r}"
                     )
                 self._write(response)
-                self._maybe_resume()
         finally:
             # No await between the empty-backlog check and this line,
-            # so data_received cannot have parked a frame that nobody
+            # so buffer_updated cannot have parked a frame that nobody
             # will drain.
             self._worker = None
             if self._backlog and self.transport is not None:
@@ -408,7 +435,7 @@ class CardinalityServer:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def handle_inline(self, body: bytes) -> bytes | None:
+    def handle_inline(self, body: bytes | memoryview) -> bytes | None:
         """Serve one frame synchronously if it needs no awaiting.
 
         Returns the encoded response for fast verbs (ESTIMATE, STATS),
@@ -456,7 +483,7 @@ class CardinalityServer:
             metrics.latency[verb].observe(time.perf_counter() - began)
         return response
 
-    async def handle(self, body: bytes) -> bytes:
+    async def handle(self, body: bytes | memoryview) -> bytes:
         """Serve one frame on the sequential (backlog) path.
 
         RECORD, EXPORT, MERGE_IN and CHECKPOINT each run as one executor

@@ -21,6 +21,7 @@ No pytest-asyncio in the toolchain: each test wraps its coroutine in
 
 import asyncio
 import os
+import socket
 import struct
 import threading
 import time
@@ -36,7 +37,15 @@ from repro.engine.shards import ShardPool
 from repro.engine.recovery import CheckpointManager, RecoveryError, RetryPolicy
 from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.server import STATS_TENANT_DETAIL_LIMIT, CardinalityServer
+from repro.serve.server import (
+    BACKLOG_HIGH,
+    BACKLOG_HIGH_BYTES,
+    BACKLOG_LOW,
+    BACKLOG_LOW_BYTES,
+    STATS_TENANT_DETAIL_LIMIT,
+    CardinalityServer,
+    _Connection,
+)
 from repro.serve.tenants import TenantConfig, TenantRegistry
 from repro.testing.faults import fault_plan
 from repro.wire import encode_sketch
@@ -633,6 +642,224 @@ def test_stats_tenant_detail_limit_boundary(tenants, detailed):
     assert ("per_tenant" in document) is detailed
     if detailed:
         assert len(document["per_tenant"]) == tenants
+
+
+# ----------------------------------------------------------------------
+# Backpressure: the backlog marks and the write-side mark
+# ----------------------------------------------------------------------
+
+class _Transport(asyncio.Transport):
+    """Records whether a connection lets its transport read."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.reading = True
+
+    def pause_reading(self) -> None:
+        self.reading = False
+
+    def resume_reading(self) -> None:
+        self.reading = True
+
+    def write(self, data) -> None:
+        pass
+
+
+class _Parking:
+    """A connection over a fake transport whose parked frames are served
+    one at a time, each when the test releases it."""
+
+    def __init__(self) -> None:
+        server = CardinalityServer(make_config())
+        server._loop = asyncio.get_running_loop()
+        self.release = asyncio.Semaphore(0)
+
+        async def held(body):
+            await self.release.acquire()
+            return protocol.encode_response(protocol.RecordOk(0))
+
+        server.handle = held
+        self.transport = _Transport()
+        self.connection = _Connection(server)
+        self.connection.connection_made(self.transport)
+
+    def deliver(self, body: bytes) -> None:
+        """Receive one frame in place, as the event loop would."""
+        stream = protocol.encode_frame(body)
+        offset = 0
+        while offset < len(stream):
+            buffer = self.connection.get_buffer(-1)
+            size = min(len(buffer), len(stream) - offset)
+            buffer[:size] = stream[offset:offset + size]
+            offset += size
+            self.connection.buffer_updated(size)
+
+    @property
+    def parked(self) -> int:
+        return len(self.connection._backlog)
+
+    async def start(self) -> None:
+        """Park nothing yet: a RECORD starts the worker, which takes it."""
+        self.deliver(record_body("t", 0, 1))
+        await self.serve_one(expect=0)
+
+    async def serve_one(self, expect: int) -> None:
+        """Let the worker take parked frames until ``expect`` remain."""
+        for _ in range(100):
+            if self.parked == expect:
+                return
+            await asyncio.sleep(0)
+        pytest.fail(f"{self.parked} frames parked, expected {expect}")
+
+    async def drain(self) -> None:
+        """Finish every frame and close the connection."""
+        while self.connection._worker is not None:
+            self.release.release()
+            await asyncio.sleep(0)
+        self.connection.connection_lost(None)
+
+
+def test_backlog_frame_marks_at_their_boundaries():
+    """Reading pauses just past BACKLOG_HIGH parked frames and resumes
+    just below BACKLOG_LOW."""
+
+    async def scenario():
+        lane = _Parking()
+        await lane.start()
+        estimate = body_of(protocol.Estimate("t"))
+        for parked in range(1, BACKLOG_HIGH + 2):
+            lane.deliver(estimate)
+            assert lane.parked == parked
+            assert lane.transport.reading is (parked <= BACKLOG_HIGH)
+        for parked in range(BACKLOG_HIGH, -1, -1):
+            lane.release.release()
+            await lane.serve_one(expect=parked)
+            assert lane.transport.reading is (parked < BACKLOG_LOW)
+        await lane.drain()
+
+    asyncio.run(scenario())
+
+
+def test_backlog_byte_marks_at_their_boundaries():
+    """Reading pauses just past BACKLOG_HIGH_BYTES parked body bytes and
+    resumes just below BACKLOG_LOW_BYTES, with few frames parked."""
+    bodies = [
+        bytes(BACKLOG_HIGH_BYTES - BACKLOG_LOW_BYTES + 1),
+        b"\x03",
+        bytes(BACKLOG_LOW_BYTES - 2),
+    ]
+    assert sum(map(len, bodies)) == BACKLOG_HIGH_BYTES
+
+    async def scenario():
+        lane = _Parking()
+        await lane.start()
+        for body in bodies:
+            lane.deliver(body)
+        assert lane.connection._parked == BACKLOG_HIGH_BYTES
+        assert lane.transport.reading
+        lane.deliver(b"\x03")  # one byte past the high mark
+        assert not lane.transport.reading
+        lane.release.release()
+        await lane.serve_one(expect=3)
+        assert lane.connection._parked == BACKLOG_LOW_BYTES
+        assert not lane.transport.reading
+        lane.release.release()
+        await lane.serve_one(expect=2)
+        assert lane.connection._parked == BACKLOG_LOW_BYTES - 1
+        assert lane.transport.reading
+        await lane.drain()
+
+    asyncio.run(scenario())
+
+
+def test_one_frame_past_the_high_byte_mark_pauses_reading():
+    """A single parked frame larger than BACKLOG_HIGH_BYTES pauses
+    reading on its own; reading resumes once it is taken."""
+
+    async def scenario():
+        lane = _Parking()
+        await lane.start()
+        lane.deliver(bytes(BACKLOG_HIGH_BYTES + 1))
+        assert lane.parked == 1 and not lane.transport.reading
+        lane.release.release()
+        await lane.serve_one(expect=0)
+        assert lane.transport.reading
+        await lane.drain()
+
+    asyncio.run(scenario())
+
+
+def test_reading_resumes_only_when_no_mark_holds():
+    """Pending writes, parked frames and parked bytes each keep reading
+    paused: it resumes only once none of them holds."""
+
+    async def scenario():
+        lane = _Parking()
+        await lane.start()
+        lane.connection.pause_writing()
+        assert not lane.transport.reading
+        for _ in range(BACKLOG_HIGH + 1):
+            lane.deliver(body_of(protocol.Estimate("t")))
+        lane.connection.resume_writing()  # the frame mark still holds
+        assert not lane.transport.reading
+        lane.connection.pause_writing()
+        for parked in range(BACKLOG_HIGH, -1, -1):
+            lane.release.release()
+            await lane.serve_one(expect=parked)
+        assert not lane.transport.reading  # writes are still pending
+        lane.connection.resume_writing()
+        assert lane.transport.reading
+        await lane.drain()
+
+    asyncio.run(scenario())
+
+
+def test_client_that_never_reads_cannot_grow_the_write_buffer():
+    """A client pipelines ESTIMATEs and never reads the replies. The
+    server stops reading once its write buffer passes the transport's
+    high-water mark, so the buffer holds at most that mark plus the
+    replies to one read."""
+    request = protocol.encode_request(protocol.Estimate("t"))
+    reply = protocol.encode_response(protocol.EstimateOk(0.0))
+    burst = request * (protocol.SCRATCH_BYTES // len(request))
+    one_read = (protocol.SCRATCH_BYTES // len(request) + 1) * len(reply)
+
+    async def scenario():
+        server = CardinalityServer(make_config())
+        host, port = await start_server(server)
+        try:
+            # Small kernel buffers on the replies' way, so the server's
+            # own write buffer fills within a few bursts.
+            client = socket.socket()
+            client.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            client.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 65536)
+            client.setblocking(False)
+            await asyncio.get_running_loop().sock_connect(client, (host, port))
+            __, writer = await asyncio.open_connection(sock=client)
+            while not server._connections:
+                await asyncio.sleep(0)
+            (connection,) = server._connections
+            transport = connection.transport
+            transport.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+            )
+            for _ in range(16):  # 1 MiB of requests at most
+                writer.write(burst)
+                try:
+                    await asyncio.wait_for(writer.drain(), 0.5)
+                except asyncio.TimeoutError:
+                    break  # the server stopped reading
+            buffered = transport.get_write_buffer_size()
+            high = transport.get_write_buffer_limits()[1]
+            reading = transport.is_reading()
+            writer.transport.abort()
+            return buffered, high, reading
+        finally:
+            await server.stop()
+
+    buffered, high, reading = asyncio.run(scenario())
+    assert not reading
+    assert buffered <= high + one_read, (buffered, high, one_read)
 
 
 # ----------------------------------------------------------------------

@@ -14,10 +14,16 @@ properties, each hypothesis-driven:
   connection survives; the next frame still parses);
 - zero/oversized length prefixes raise *fatal* errors (framing lost);
 - the incremental :class:`~repro.serve.protocol.FrameDecoder` yields
-  identical bodies no matter how the byte stream is chopped.
+  identical bodies no matter how the byte stream is chopped, fed or
+  received in place;
+- a frame too large for the decoder's scratch buffer is received into
+  a buffer of its own, which commits memory only as bytes arrive and
+  places a RECORD's keys 8-byte aligned, so they decode to a view.
 """
 
+import itertools
 import json
+import os
 import struct
 
 import numpy as np
@@ -78,6 +84,17 @@ requests = st.one_of(
     st.just(Checkpoint()),
 )
 
+#: RECORDs whose frames straddle the decoder's scratch buffer: about
+#: half fit in it, the rest are received into a buffer of their own.
+straddling_records = st.builds(
+    Record,
+    tenants,
+    st.integers(
+        min_value=protocol.SCRATCH_BYTES // 8 - 24,
+        max_value=protocol.SCRATCH_BYTES // 8 + 24,
+    ).map(lambda count: np.arange(count, dtype=np.uint64)),
+)
+
 responses = st.one_of(
     st.builds(RecordOk, st.integers(min_value=0, max_value=2**64 - 1)),
     st.builds(EstimateOk, finite_floats),
@@ -98,6 +115,24 @@ def _body(frame: bytes) -> bytes:
     (length,) = struct.unpack_from("<I", frame)
     assert len(frame) == 4 + length
     return frame[4:]
+
+
+def _receive(decoder: FrameDecoder, stream: bytes, cuts=(), most=4096) -> list:
+    """Receive ``stream`` in place, as a transport's ``recv_into`` does.
+
+    Each receive fills at most ``most`` bytes of what ``get_buffer``
+    offers and stops short at every cut.
+    """
+    bodies = []
+    offset = 0
+    for cut in [*cuts, len(stream)]:
+        while offset < cut:
+            buffer = decoder.get_buffer()
+            size = min(len(buffer), cut - offset, most)
+            buffer[:size] = stream[offset:offset + size]
+            offset += size
+            bodies.extend(decoder.received(size))
+    return bodies
 
 
 # ----------------------------------------------------------------------
@@ -220,11 +255,13 @@ def test_arbitrary_response_bodies_never_crash(body):
 # Frame splitting
 # ----------------------------------------------------------------------
 
-@given(st.lists(requests, max_size=6), st.data())
+@given(st.lists(st.one_of(requests, straddling_records), max_size=6), st.data())
 def test_decoder_is_chop_invariant(batch, data):
-    """Any chopping of the byte stream yields the same frame bodies."""
-    stream = b"".join(encode_request(request) for request in batch)
-    expected = [_body(encode_request(request)) for request in batch]
+    """Any chopping of the byte stream yields the same frame bodies,
+    whether it is fed chunk by chunk or received in place."""
+    frames = [encode_request(request) for request in batch]
+    stream = b"".join(frames)
+    expected = [_body(frame) for frame in frames]
     cuts = sorted(
         data.draw(
             st.lists(
@@ -240,6 +277,22 @@ def test_decoder_is_chop_invariant(batch, data):
         previous = cut
     assert bodies == expected
     decoder.check_eof()  # whole frames only: no buffered remainder
+
+    # In place, the first 12 bytes of every frame arrive one at a time,
+    # so receives end inside each length prefix, inside each RECORD's
+    # tenant header, and on both sides of the 3 body bytes that a
+    # buffer of its own waits for.
+    starts = itertools.accumulate((len(frame) for frame in frames), initial=0)
+    heads = {min(start + k, len(stream)) for start in starts for k in range(1, 13)}
+    most = data.draw(st.integers(min_value=1, max_value=2 * protocol.SCRATCH_BYTES))
+    decoder = FrameDecoder()
+    bodies = _receive(decoder, stream, sorted(heads.union(cuts)), most)
+    assert bodies == expected
+    decoder.check_eof()
+    for body in bodies:  # a RECORD's own buffer is placed for a key view
+        if isinstance(body, memoryview) and body[0] == protocol.RECORD:
+            keys = decode_request(body).keys
+            assert np.shares_memory(keys, np.frombuffer(body, dtype=np.uint8))
 
 
 def test_zero_length_frame_is_fatal():
@@ -270,6 +323,67 @@ def test_eof_mid_frame_is_fatal():
     with pytest.raises(ProtocolError) as caught:
         decoder.check_eof()
     assert caught.value.fatal
+
+
+def test_eof_inside_a_buffer_of_its_own_is_fatal():
+    """``buffered`` and ``check_eof`` count a large frame's own buffer
+    while it is still being received."""
+    frame = encode_request(
+        Record("t", np.arange(protocol.SCRATCH_BYTES // 8, dtype=np.uint64))
+    )
+    decoder = FrameDecoder()
+    assert _receive(decoder, frame[:-1]) == []
+    assert decoder.buffered == len(frame) - 1
+    with pytest.raises(ProtocolError) as caught:
+        decoder.check_eof()
+    assert caught.value.fatal
+    assert _receive(decoder, frame[-1:]) == [frame[4:]]
+    assert decoder.buffered == 0
+    decoder.check_eof()
+
+
+@pytest.mark.parametrize("tenant_length", range(1, 17))
+def test_large_record_keys_are_an_aligned_view_of_their_frame(tenant_length):
+    """A RECORD too large for scratch is received into a buffer of its
+    own, placed so that its keys start 8-byte aligned: they decode to a
+    read-only view of that buffer, not a copy."""
+    sent = np.arange(protocol.SCRATCH_BYTES // 8, dtype=np.uint64) << np.uint64(40)
+    decoder = FrameDecoder()
+    (body,) = _receive(decoder, encode_request(Record("t" * tenant_length, sent)))
+    assert isinstance(body, memoryview) and body.readonly
+    keys = decode_request(body).keys
+    assert keys.ctypes.data % 8 == 0
+    assert np.shares_memory(keys, np.frombuffer(body, dtype=np.uint8))
+    assert not keys.flags.writeable
+    assert np.array_equal(keys, sent)
+
+
+def _vm_rss() -> int:
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) * 1024
+    raise AssertionError("no VmRSS line in /proc/self/status")
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="needs /proc/self/status"
+)
+def test_a_claimed_frame_length_commits_only_what_arrives():
+    """A length prefix may claim up to ``max_frame`` bytes before any of
+    them arrive; the decoder commits memory only for the bytes that do."""
+    received = 64 * 1024
+    head = struct.pack("<IBH", protocol.DEFAULT_MAX_FRAME, protocol.RECORD, 1)
+    stream = head + b"t" + struct.pack("<I", protocol.DEFAULT_MAX_FRAME // 8)
+    stream += b"\xab" * (received - (len(stream) - 4))
+    decoders = [FrameDecoder() for _ in range(8)]
+    before = _vm_rss()
+    for decoder in decoders:
+        assert list(decoder.feed(stream)) == []
+        assert decoder.buffered == len(stream)
+    grown = _vm_rss() - before
+    claimed = len(decoders) * protocol.DEFAULT_MAX_FRAME
+    assert grown < claimed // 4, f"RSS grew {grown} bytes for {claimed} claimed"
 
 
 @given(requests)
