@@ -46,6 +46,19 @@ def main(argv: list[str] | None = None) -> int:
         # wins. Once numpy is loaded (in-process callers such as
         # tests) the variable could no longer take effect.
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    if (
+        argv
+        and argv[0] == "serve"
+        and "ssl" not in sys.modules
+        and "asyncio" not in sys.modules
+    ):
+        # The frame protocol is plaintext, yet asyncio imports ssl in
+        # case a caller asks for TLS, which maps OpenSSL's libssl and
+        # libcrypto: about 4 MiB of a booted server's resident set.
+        # asyncio treats ssl as optional, so make it unimportable
+        # before the server loads asyncio. A process that loaded
+        # either module first (tests, embedders) keeps its own.
+        sys.modules["ssl"] = None  # type: ignore[assignment]
     if argv and argv[0] in _SUBCOMMANDS:
         module, entry = _SUBCOMMANDS[argv[0]]
         command = getattr(importlib.import_module(module), entry)

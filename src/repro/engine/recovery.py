@@ -5,9 +5,11 @@ module makes a *sequence* of snapshots survivable:
 
 - :class:`CheckpointManager` owns one checkpoint directory and writes
   generation-numbered files (``ckpt-00000042.rpck``) plus a CRC'd JSON
-  ``MANIFEST.json`` naming every retained generation and its metadata.
-  Saves rotate: after each new generation the oldest ones beyond
-  ``keep`` are pruned. Loads fall back: :meth:`CheckpointManager.load_latest`
+  ``MANIFEST.json`` listing every retained generation and its metadata.
+  A generation's path always follows from its number; a manifest that
+  is torn or malformed in any way is ignored whole. Saves rotate: after
+  each new generation the oldest ones beyond ``keep`` are pruned. Loads
+  fall back: :meth:`CheckpointManager.load_latest`
   walks generations newest-first — across the union of the manifest and
   a directory scan, so a crash *between* publishing the generation file
   and republishing the manifest still recovers the newest state — and
@@ -81,6 +83,7 @@ TRANSIENT_ERRNOS: frozenset[int] = frozenset(
 )
 
 _GENERATION_RE = re.compile(r"^ckpt-(\d{8})\.rpck$")
+_MAX_GENERATION = 99_999_999
 _MANIFEST_NAME = "MANIFEST.json"
 _MANIFEST_VERSION = 1
 
@@ -290,7 +293,7 @@ class CheckpointManager:
         with self._lock:
             entries = self._merged_generations()
             number = (entries[-1].generation + 1) if entries else 1
-            path = os.path.join(self.directory, _generation_name(number))
+            path = self._generation_path(number)
             self.retry.call(
                 lambda: checkpoint.save(
                     estimator, path, sync_directory=self.sync_directory
@@ -419,13 +422,18 @@ class CheckpointManager:
         """Absolute path of the CRC'd manifest file."""
         return os.path.join(self.directory, _MANIFEST_NAME)
 
+    def _generation_path(self, number: int) -> str:
+        """Where generation ``number`` lives: always in the directory."""
+        return os.path.join(self.directory, _generation_name(number))
+
     def _merged_generations(self) -> list[Generation]:
         """Manifest entries ∪ on-disk generation files, oldest first.
 
         The manifest is authoritative for metadata; the disk scan heals
         the two stale-manifest cases (a generation published but not
         yet manifested, and a manifest entry whose file was pruned by a
-        crashed rotation). A torn manifest degrades to scan-only.
+        crashed rotation). A torn or malformed manifest degrades to
+        scan-only.
         """
         manifest = {g.generation: g for g in self._read_manifest()}
         merged: dict[int, Generation] = {}
@@ -457,7 +465,14 @@ class CheckpointManager:
         return [merged[number] for number in sorted(merged)]
 
     def _read_manifest(self) -> list[Generation]:
-        """Parse and CRC-verify the manifest; [] when absent or torn."""
+        """Parse and check the manifest; [] when absent, torn or malformed.
+
+        The manifest carries metadata only. Each entry must be an object
+        with an integer ``generation`` in range, the ``file`` name that
+        number gives, an integer ``bytes`` >= 0 and an object ``meta``;
+        the path comes from the number, never from the file. Any other
+        entry, like a CRC mismatch, distrusts the whole file.
+        """
         try:
             with open(self.manifest_path, "rb") as handle:
                 document = json.loads(handle.read().decode("utf-8"))
@@ -469,21 +484,33 @@ class CheckpointManager:
         crc = document.get("crc")
         if body is None or crc != zlib.crc32(_canonical_json(body)):
             return []  # torn manifest: fall back to the directory scan
-        if body.get("version") != _MANIFEST_VERSION:
+        if (
+            not isinstance(body, dict)
+            or not _is_int(body.get("version"))
+            or body["version"] != _MANIFEST_VERSION
+            or not isinstance(body.get("generations"), list)
+        ):
             return []
         out: list[Generation] = []
-        for entry in body.get("generations", ()):
-            try:
-                out.append(
-                    Generation(
-                        generation=int(entry["generation"]),
-                        path=os.path.join(self.directory, entry["file"]),
-                        size=int(entry["bytes"]),
-                        meta=dict(entry.get("meta", {})),
-                    )
+        for entry in body["generations"]:
+            number = entry.get("generation") if isinstance(entry, dict) else None
+            if not (
+                _is_int(number)
+                and 0 < number <= _MAX_GENERATION
+                and entry.get("file") == _generation_name(number)
+                and _is_int(entry.get("bytes"))
+                and entry["bytes"] >= 0
+                and isinstance(entry.get("meta"), dict)
+            ):
+                return []  # malformed: distrust the whole file
+            out.append(
+                Generation(
+                    generation=number,
+                    path=self._generation_path(number),
+                    size=entry["bytes"],
+                    meta=entry["meta"],
                 )
-            except (KeyError, TypeError, ValueError):
-                return []  # structurally corrupt: distrust the whole file
+            )
         return out
 
     def _write_manifest(self, entries: list[Generation]) -> None:
@@ -521,9 +548,14 @@ class CheckpointManager:
 
 def _generation_name(number: int) -> str:
     """The on-disk filename of generation ``number``."""
-    if not 0 < number <= 99_999_999:
+    if not 0 < number <= _MAX_GENERATION:
         raise ValueError(f"generation number out of range: {number}")
     return f"ckpt-{number:08d}.rpck"
+
+
+def _is_int(value: object) -> bool:
+    """Whether a decoded JSON value is an integer (``true`` is not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _canonical_json(value: object) -> bytes:

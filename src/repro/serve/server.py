@@ -16,21 +16,26 @@ Responses are strictly FIFO per connection, so clients pipeline freely:
 - while a connection has no asynchronous work pending, fast verbs
   (ESTIMATE, STATS, malformed frames) are answered *inline* inside
   ``buffer_updated`` — a pipelined burst of ESTIMATEs is decoded,
-  served and answered with a single ``write`` per read;
-- the first slow verb (RECORD, CHECKPOINT) parks the connection's
-  frames in a backlog drained by one sequential task, preserving order
-  until the backlog empties, at which point the connection returns to
-  inline mode.
+  served and answered with a single ``write`` per read, as long as
+  the replies fit under the transport's write high-water mark;
+- the first slow verb (RECORD, CHECKPOINT, EXPORT, MERGE_IN), or the
+  first frame whose reply would not fit, parks the connection's frames
+  in a backlog drained by one sequential task, preserving order until
+  the backlog empties, at which point the connection returns to inline
+  mode.
 
 **Backpressure.** A connection stops reading (``pause_reading``) while
 its backlog holds more than :data:`BACKLOG_HIGH` frames or
 :data:`BACKLOG_HIGH_BYTES` body bytes, or while its transport's write
 buffer is above its high-water mark (a client that does not read its
 replies); it resumes once the backlog is below both low marks and the
-write buffer has drained. A RECORD is applied to its tenant's shards
-in the executor thread running ``submit`` before it is acknowledged,
-so a flooding producer stalls in its own lane; it cannot exhaust
-server memory.
+write buffer has drained. No reply is written into a write buffer
+above its mark: the inline path stops answering before its replies
+would pass it, and the backlog task waits for ``resume_writing``, so
+the buffer holds at most the mark plus one reply. A RECORD is applied
+to its tenant's shards in the executor thread running ``submit``
+before it is acknowledged, so a flooding producer stalls in its own
+lane; it cannot exhaust server memory.
 
 **Quiescing, one tenant at a time.** Tenants are independent flows,
 so no verb needs them all still at once; the only pause is a tenant
@@ -158,7 +163,9 @@ class _Connection(asyncio.BufferedProtocol):
         self._parked = 0  # body bytes in _backlog
         self._worker: asyncio.Task | None = None
         self._paused = False
-        self._write_paused = False  # write buffer above its high-water mark
+        # Clear while the write buffer is above its high-water mark.
+        self._writable = asyncio.Event()
+        self._writable.set()
         self.transport: asyncio.Transport | None = None
 
     # -- asyncio.BufferedProtocol callbacks ----------------------------
@@ -180,13 +187,22 @@ class _Connection(asyncio.BufferedProtocol):
         if server.metrics is not None:
             server.metrics.bytes_read.inc(nbytes)
         out = bytearray()
+        room = self._write_room()
         try:
             for body in self._decoder.received(nbytes):
                 if self._worker is None:
-                    response = server.handle_inline(body)
-                    if response is not None:
-                        out += response
-                        continue
+                    if out and len(out) >= room:
+                        # The replies gathered fill the write buffer to
+                        # its mark: hand them over, and go on inline
+                        # only if the transport sent them on.
+                        self._write(bytes(out))
+                        out.clear()
+                        room = self._write_room()
+                    if len(out) < room:
+                        response = server.handle_inline(body)
+                        if response is not None:
+                            out += response
+                            continue
                     self._worker = server._loop.create_task(
                         self._drain_backlog()
                     )
@@ -209,14 +225,21 @@ class _Connection(asyncio.BufferedProtocol):
         return False  # close when the peer half-closes
 
     def pause_writing(self) -> None:
-        self._write_paused = True
+        self._writable.clear()
         self._maybe_pause()
 
     def resume_writing(self) -> None:
-        self._write_paused = False
+        self._writable.set()
         self._maybe_resume()
 
     # -- internals -----------------------------------------------------
+    def _write_room(self) -> int:
+        """Reply bytes the write buffer takes before its high-water mark."""
+        if self.transport is None:
+            return 0
+        high = self.transport.get_write_buffer_limits()[1]
+        return high - self.transport.get_write_buffer_size()
+
     def _write(self, payload: bytes) -> None:
         if self.transport is None:
             return
@@ -231,7 +254,7 @@ class _Connection(asyncio.BufferedProtocol):
             and (
                 len(self._backlog) > BACKLOG_HIGH
                 or self._parked > BACKLOG_HIGH_BYTES
-                or self._write_paused
+                or not self._writable.is_set()
             )
         ):
             self._paused = True
@@ -243,7 +266,7 @@ class _Connection(asyncio.BufferedProtocol):
             and self.transport is not None
             and len(self._backlog) < BACKLOG_LOW
             and self._parked < BACKLOG_LOW_BYTES
-            and not self._write_paused
+            and self._writable.is_set()
         ):
             self._paused = False
             self.transport.resume_reading()
@@ -252,6 +275,8 @@ class _Connection(asyncio.BufferedProtocol):
         """Serve backlogged frames in order, then return to inline mode."""
         try:
             while self._backlog:
+                # Write no reply into a buffer above its mark.
+                await self._writable.wait()
                 body = self._backlog.popleft()
                 self._parked -= len(body)
                 self._maybe_resume()

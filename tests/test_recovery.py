@@ -5,16 +5,24 @@ The fault matrix drives every checkpoint crash window through
 written by the real save path, then torn exactly at the armed window —
 and asserts the recovery invariant: *each window either leaves the
 previous generation loadable or is healed by manifest/scan fallback*.
+A manifest is trusted for metadata only: malformed ones, CRC intact,
+are fuzzed and must degrade to the directory scan.
 """
 
+import copy
 import errno
 import json
 import os
+import pathlib
+import shutil
+import tempfile
 import threading
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.smb import SelfMorphingBitmap
 from repro.engine import checkpoint
@@ -43,6 +51,20 @@ def manager(tmp_path, **kwargs):
     kwargs.setdefault("sync_directory", False)
     kwargs.setdefault("orphan_grace", 0.0)
     return CheckpointManager(tmp_path / "ckpts", **kwargs)
+
+
+def manifest_body(mgr):
+    """The body of the manager's manifest, as decoded JSON."""
+    with open(mgr.manifest_path, "rb") as handle:
+        return json.load(handle)["body"]
+
+
+def reseal(mgr, body):
+    """Publish ``body`` as the manifest under a CRC that matches it."""
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    document = {"crc": zlib.crc32(canonical.encode()), "body": body}
+    with open(mgr.manifest_path, "w") as handle:
+        json.dump(document, handle)
 
 
 class TestRetryPolicy:
@@ -247,6 +269,190 @@ class TestManifest:
         os.unlink(first.path)  # simulate a crashed rotation's half-prune
         estimator, generation = mgr.load_latest()
         assert generation.generation == 2
+
+
+class TestMalformedManifest:
+    """A manifest with a valid CRC but a malformed body is torn."""
+
+    def _scanned_newest(self, mgr, number, n):
+        estimator, generation = mgr.load_latest()
+        assert generation.generation == number
+        assert generation.manifested is False  # recovered by scan
+        assert generation.meta == {}
+        assert estimator.to_bytes() == make_smb(n).to_bytes()
+        assert [g.manifested for g in mgr.generations()] == [False] * number
+
+    def test_body_that_is_a_list(self, tmp_path):
+        mgr = manager(tmp_path)
+        mgr.save(make_smb(100), meta={"n": 100})
+        reseal(mgr, [manifest_body(mgr)])
+        self._scanned_newest(mgr, 1, 100)
+
+    def test_generations_that_are_a_number(self, tmp_path):
+        mgr = manager(tmp_path)
+        mgr.save(make_smb(100), meta={"n": 100})
+        body = manifest_body(mgr)
+        body["generations"] = 5
+        reseal(mgr, body)
+        self._scanned_newest(mgr, 1, 100)
+
+    def test_generation_number_that_is_infinite(self, tmp_path):
+        mgr = manager(tmp_path)
+        mgr.save(make_smb(100), meta={"n": 100})
+        body = manifest_body(mgr)
+        body["generations"][0]["generation"] = float("inf")
+        reseal(mgr, body)
+        self._scanned_newest(mgr, 1, 100)
+
+    def test_entry_naming_another_generations_file(self, tmp_path):
+        mgr = manager(tmp_path)
+        mgr.save(make_smb(100), meta={"n": 100})
+        mgr.save(make_smb(250), meta={"n": 250})
+        body = manifest_body(mgr)
+        body["generations"][1]["file"] = body["generations"][0]["file"]
+        reseal(mgr, body)
+        self._scanned_newest(mgr, 2, 250)
+
+    def test_entry_naming_a_file_outside_the_directory(self, tmp_path):
+        victim = tmp_path / "victim"
+        victim.write_bytes(b"not a checkpoint")
+        mgr = manager(tmp_path, keep=2)
+        mgr.save(make_smb(100))
+        mgr.save(make_smb(200))
+        body = manifest_body(mgr)
+        body["generations"][0]["file"] = str(victim)
+        reseal(mgr, body)
+        assert mgr.save(make_smb(300)).generation == 3  # prunes generation 1
+        assert victim.read_bytes() == b"not a checkpoint"
+        assert sorted(os.listdir(mgr.directory)) == [
+            "MANIFEST.json", "ckpt-00000002.rpck", "ckpt-00000003.rpck",
+        ]
+
+
+#: Keys a manifest body holds, for renamed and added keys.
+MANIFEST_KEYS = ("version", "generations", "generation", "file", "bytes", "meta")
+
+
+def json_values(paths):
+    """Any decoded JSON value, weighted toward what a manifest holds:
+    generation-like numbers, non-finite floats and file paths."""
+    scalars = (
+        st.none()
+        | st.booleans()
+        | st.integers()
+        | st.sampled_from([-1, 0, 1, 2, 3, 4, 99_999_999, 100_000_000])
+        | st.floats(allow_nan=True, allow_infinity=True)
+        | st.text(max_size=8)
+        | st.sampled_from(paths)
+    )
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(
+            st.sampled_from(MANIFEST_KEYS) | st.text(max_size=4),
+            inner,
+            max_size=3,
+        ),
+        max_leaves=6,
+    )
+
+
+def slots(node):
+    """Every (container, key) pair in a decoded JSON tree."""
+    if isinstance(node, dict):
+        keys = list(node)
+    elif isinstance(node, list):
+        keys = list(range(len(node)))
+    else:
+        return
+    for key in keys:
+        yield node, key
+        yield from slots(node[key])
+
+
+@st.composite
+def mutated(draw, body, paths):
+    """``body`` after one to three drops, retypes or renames anywhere
+    in it, the body itself included."""
+    holder = [copy.deepcopy(body)]
+    values = json_values(paths)
+    for _ in range(draw(st.integers(1, 3))):
+        container, key = draw(st.sampled_from(list(slots(holder))))
+        action = draw(st.sampled_from(["drop", "replace", "rename"]))
+        if action == "drop" and container is not holder:
+            del container[key]
+        elif action == "rename" and isinstance(container, dict):
+            name = draw(st.sampled_from(MANIFEST_KEYS) | st.text(max_size=4))
+            container[name] = container.pop(key)
+        else:
+            container[key] = draw(values)
+    return holder[0]
+
+
+@pytest.fixture(scope="module")
+def three_generations(tmp_path_factory):
+    """A checkpoint directory holding generations 1-3 of distinct SMBs,
+    and each generation's estimator bytes."""
+    root = tmp_path_factory.mktemp("manifest-fuzz")
+    mgr = manager(root)
+    saved = {}
+    for n in (100, 200, 300):
+        saved[mgr.save(make_smb(n), meta={"n": n}).generation] = (
+            make_smb(n).to_bytes()
+        )
+    return root, saved
+
+
+class TestManifestFuzz:
+    @given(data=st.data())
+    def test_any_resealed_manifest_is_metadata_only(
+        self, three_generations, data
+    ):
+        """Mutate the manifest body anywhere and re-seal its CRC. Every
+        generation file is intact, so recovery still finds generations
+        1-3 at their own paths, loads generation 3's bytes, saves
+        generation 4 and touches no file outside the directory."""
+        template, saved = three_generations
+        root = tempfile.mkdtemp(dir=template)
+        try:
+            shutil.copytree(template / "ckpts", os.path.join(root, "ckpts"))
+            outside = os.path.join(root, "outside")
+            os.mkdir(outside)
+            victim = os.path.join(outside, "victim")
+            with open(victim, "wb") as handle:
+                handle.write(b"victim")
+            mgr = manager(pathlib.Path(root))
+            paths = [
+                victim, "../outside/victim", outside, mgr.directory, "/",
+                "", ".", "..", "MANIFEST.json",
+                *(f"ckpt-{number:08d}.rpck" for number in range(5)),
+            ]
+            reseal(mgr, data.draw(mutated(manifest_body(mgr), paths)))
+
+            def in_place(generation):
+                name = f"ckpt-{generation.generation:08d}.rpck"
+                assert generation.path == os.path.join(mgr.directory, name)
+                assert isinstance(generation.meta, dict)
+                return checkpoint.load(generation.path).to_bytes()
+
+            estimator, latest = mgr.load_latest()
+            assert latest.generation == 3
+            assert in_place(latest) == estimator.to_bytes() == saved[3]
+            generations = mgr.generations()
+            assert [g.generation for g in generations] == [1, 2, 3]
+            for generation in generations:
+                assert in_place(generation) == saved[generation.generation]
+            newest = mgr.save(make_smb(400))
+            assert newest.generation == 4
+            assert in_place(newest) == make_smb(400).to_bytes()
+            assert sorted(os.listdir(mgr.directory)) == [
+                "MANIFEST.json", *(f"ckpt-{n:08d}.rpck" for n in (2, 3, 4)),
+            ]
+            assert os.listdir(outside) == ["victim"]
+            with open(victim, "rb") as handle:
+                assert handle.read() == b"victim"
+        finally:
+            shutil.rmtree(root)
 
 
 class TestFallbackFaultMatrix:

@@ -664,6 +664,12 @@ class _Transport(asyncio.Transport):
     def write(self, data) -> None:
         pass
 
+    def get_write_buffer_size(self) -> int:
+        return 0
+
+    def get_write_buffer_limits(self) -> tuple[int, int]:
+        return 16 * 1024, 64 * 1024
+
 
 class _Parking:
     """A connection over a fake transport whose parked frames are served
@@ -802,10 +808,15 @@ def test_reading_resumes_only_when_no_mark_holds():
             lane.deliver(body_of(protocol.Estimate("t")))
         lane.connection.resume_writing()  # the frame mark still holds
         assert not lane.transport.reading
-        lane.connection.pause_writing()
         for parked in range(BACKLOG_HIGH, -1, -1):
             lane.release.release()
             await lane.serve_one(expect=parked)
+        # Nothing is parked; writes back up while the last frame is
+        # served, and stay pending after the worker has finished.
+        lane.connection.pause_writing()
+        lane.release.release()
+        while lane.connection._worker is not None:
+            await asyncio.sleep(0)
         assert not lane.transport.reading  # writes are still pending
         lane.connection.resume_writing()
         assert lane.transport.reading
@@ -814,35 +825,64 @@ def test_reading_resumes_only_when_no_mark_holds():
     asyncio.run(scenario())
 
 
+def test_backlog_waits_for_the_write_buffer_to_drain():
+    """While the write buffer is above its mark, the backlog task takes
+    no frame, so it writes no reply; it goes on once writing resumes."""
+
+    async def scenario():
+        lane = _Parking()
+        await lane.start()
+        for _ in range(3):
+            lane.deliver(body_of(protocol.Estimate("t")))
+        lane.connection.pause_writing()
+        lane.release.release()  # the RECORD is answered; then it waits
+        for _ in range(20):
+            await asyncio.sleep(0)
+        assert lane.parked == 3
+        lane.connection.resume_writing()
+        await lane.serve_one(expect=2)
+        await lane.drain()
+
+    asyncio.run(scenario())
+
+
+async def _client_that_does_not_read(server: CardinalityServer, host, port):
+    """Connect a client whose replies back up into the server's write
+    buffer: small kernel buffers on their way, so the buffer fills
+    within a few bursts. Returns the client's reader and writer and the
+    server's side of the connection."""
+    client = socket.socket()
+    client.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    client.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 65536)
+    client.setblocking(False)
+    await asyncio.get_running_loop().sock_connect(client, (host, port))
+    reader, writer = await asyncio.open_connection(sock=client)
+    while not server._connections:
+        await asyncio.sleep(0)
+    (connection,) = server._connections
+    connection.transport.get_extra_info("socket").setsockopt(
+        socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+    )
+    return reader, writer, connection
+
+
 def test_client_that_never_reads_cannot_grow_the_write_buffer():
     """A client pipelines ESTIMATEs and never reads the replies. The
     server stops reading once its write buffer passes the transport's
-    high-water mark, so the buffer holds at most that mark plus the
-    replies to one read."""
+    high-water mark, and stops answering before its replies would pass
+    it, so the buffer holds at most that mark plus one reply."""
     request = protocol.encode_request(protocol.Estimate("t"))
     reply = protocol.encode_response(protocol.EstimateOk(0.0))
     burst = request * (protocol.SCRATCH_BYTES // len(request))
-    one_read = (protocol.SCRATCH_BYTES // len(request) + 1) * len(reply)
 
     async def scenario():
         server = CardinalityServer(make_config())
         host, port = await start_server(server)
         try:
-            # Small kernel buffers on the replies' way, so the server's
-            # own write buffer fills within a few bursts.
-            client = socket.socket()
-            client.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
-            client.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 65536)
-            client.setblocking(False)
-            await asyncio.get_running_loop().sock_connect(client, (host, port))
-            __, writer = await asyncio.open_connection(sock=client)
-            while not server._connections:
-                await asyncio.sleep(0)
-            (connection,) = server._connections
-            transport = connection.transport
-            transport.get_extra_info("socket").setsockopt(
-                socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+            __, writer, connection = await _client_that_does_not_read(
+                server, host, port
             )
+            transport = connection.transport
             for _ in range(16):  # 1 MiB of requests at most
                 writer.write(burst)
                 try:
@@ -859,7 +899,82 @@ def test_client_that_never_reads_cannot_grow_the_write_buffer():
 
     buffered, high, reading = asyncio.run(scenario())
     assert not reading
-    assert buffered <= high + one_read, (buffered, high, one_read)
+    assert buffered <= high + len(reply), (buffered, high, len(reply))
+
+
+#: STATS requests in one burst: a few KiB, one read, whose 14 KiB
+#: documents would fill the write buffer's mark many times over. (Each
+#: 256-tenant document takes about 0.8 ms to build on a 2-vCPU host,
+#: so a full 64 KiB read of them would cost the test 10 s.)
+STATS_BURST = 800
+
+
+@pytest.mark.parametrize("behind_record", [False, True])
+def test_stats_burst_to_a_client_that_does_not_read(behind_record):
+    """Pipelined STATS to a server with 256 tenants, alone or parked
+    behind a RECORD, from a client that does not read yet. The write
+    buffer never holds more than its high-water mark plus one reply;
+    once the client reads, every reply arrives, in order."""
+    head = protocol.encode_frame(record_body("t0", 0, 8))
+    burst = (
+        (head if behind_record else b"")
+        + protocol.encode_request(protocol.Stats()) * STATS_BURST
+        + protocol.encode_request(protocol.Estimate("t0"))
+    )
+    expected = (
+        ([protocol.RECORD_OK] if behind_record else [])
+        + [protocol.STATS_OK] * STATS_BURST
+        + [protocol.ESTIMATE_OK]
+    )
+
+    async def scenario():
+        server = CardinalityServer(make_config())
+        host, port = await start_server(server)
+        try:
+            for index in range(STATS_TENANT_DETAIL_LIMIT):
+                await server.handle(record_body(f"t{index}", index, 1))
+            reader, writer, connection = await _client_that_does_not_read(
+                server, host, port
+            )
+            transport = connection.transport
+            peak = 0
+            write = transport.write
+
+            def watched(data):
+                nonlocal peak
+                write(data)
+                peak = max(peak, transport.get_write_buffer_size())
+
+            transport.write = watched
+            writer.write(burst)
+            high = transport.get_write_buffer_limits()[1]
+            for _ in range(500):  # until the replies back up
+                if peak > high:
+                    break
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.1)  # room to overshoot, were it allowed
+            backed_up = peak
+            decoder = protocol.FrameDecoder()
+            verbs, largest, last = [], 0, b""
+            while len(verbs) < len(expected):
+                chunk = await asyncio.wait_for(reader.read(1 << 20), 30)
+                assert chunk, "server closed the connection"
+                for body in decoder.feed(chunk):
+                    verbs.append(body[0])
+                    largest = max(largest, 4 + len(body))
+                    last = body
+            writer.close()
+            return backed_up, peak, high, largest, verbs, last
+        finally:
+            await server.stop()
+
+    backed_up, peak, high, largest, verbs, last = asyncio.run(scenario())
+    assert len(verbs) == len(expected) and verbs == expected
+    assert largest > 10_000  # a 256-tenant document
+    assert 0 < backed_up <= peak <= high + largest, (
+        backed_up, peak, high, largest
+    )
+    assert protocol.decode_response(last).estimate > 0
 
 
 # ----------------------------------------------------------------------

@@ -2,19 +2,21 @@
 
 A ``repro`` process should load only what it runs: ``import repro``
 loads no numpy, ``repro serve`` loads neither the experiment harness
-nor the client side of the serving layer, and the server boots with one
-thread (OpenBLAS's idle worker pool is off by default). Each check runs
-a new interpreter, because this test process has long since imported
-everything.
+nor the client side of the serving layer nor the TLS stack, and the
+server boots with one thread (OpenBLAS's idle worker pool is off by
+default). Each check runs a new interpreter, because this test process
+has long since imported everything.
 
 The class registry must be complete whatever a process imported first:
 a process that only imports the checkpoint layer or the wire format
 still decodes every class either container can hold.
 """
 
+import contextlib
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import textwrap
@@ -26,6 +28,7 @@ import repro
 from repro.cli import main
 from repro.engine import checkpoint
 from repro.engine.shards import ShardPool
+from repro.serve import protocol
 from repro.serve.tenants import TenantConfig, TenantRegistry
 from repro.wire import encode_sketch
 
@@ -61,9 +64,70 @@ def _run(code: str) -> str:
 
 
 def _loaded_after(code: str) -> set[str]:
-    """Every module a fresh interpreter holds after running ``code``."""
-    out = _run(textwrap.dedent(code) + "\nimport sys\nprint(*sys.modules)\n")
+    """Every module a fresh interpreter holds after running ``code``.
+
+    A ``None`` entry in ``sys.modules`` blocks an import; it is not a
+    loaded module.
+    """
+    out = _run(textwrap.dedent(code) + (
+        "\nimport sys\n"
+        "print(*(name for name, module in sys.modules.items()"
+        " if module is not None))\n"
+    ))
     return set(out.split())
+
+
+SERVE_HELP = """
+    from repro.cli import main
+    try:
+        main(["serve", "--help"])
+    except SystemExit:
+        pass
+"""
+
+
+@contextlib.contextmanager
+def _serving(*flags: str):
+    """A ``python -m repro serve`` process; yields it and its port."""
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", *flags],
+        env=_environment(), stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL, text=True,
+    )
+    try:
+        line = process.stdout.readline()
+        assert line.startswith("serving "), line
+        yield process, int(line.rsplit(":", 1)[1])
+    finally:
+        process.send_signal(signal.SIGTERM)
+        try:
+            process.wait(timeout=30)
+        except subprocess.TimeoutExpired:  # pragma: no cover
+            process.kill()
+            process.wait(timeout=10)
+        process.stdout.close()
+
+
+def _ask(port: int, *requests) -> list:
+    """Send ``requests`` on one connection; returns their replies."""
+    decoder = protocol.FrameDecoder()
+    replies: list = []
+    with socket.create_connection(("127.0.0.1", port), timeout=60) as sock:
+        sock.sendall(b"".join(map(protocol.encode_request, requests)))
+        while len(replies) < len(requests):
+            chunk = sock.recv(65536)
+            assert chunk, "server closed the connection"
+            replies += map(protocol.decode_response, decoder.feed(chunk))
+    return replies
+
+
+def _maps_tls(pid: int) -> list[str]:
+    """The OpenSSL libraries mapped into process ``pid``."""
+    with open(f"/proc/{pid}/maps") as maps:
+        return sorted({
+            line.split()[-1] for line in maps
+            if "libssl" in line or "libcrypto" in line
+        })
 
 
 class TestImportBudget:
@@ -73,13 +137,7 @@ class TestImportBudget:
         assert not {name for name in loaded if name.startswith("repro.")}
 
     def test_serve_loads_only_what_it_serves(self):
-        loaded = _loaded_after("""
-            from repro.cli import main
-            try:
-                main(["serve", "--help"])
-            except SystemExit:
-                pass
-        """)
+        loaded = _loaded_after(SERVE_HELP)
         assert "repro.serve.cli" in loaded
         unwanted = sorted(
             name for name in loaded
@@ -107,24 +165,45 @@ class TestImportBudget:
         not os.path.isdir("/proc/self/task"), reason="needs /proc"
     )
     def test_served_process_has_one_thread(self):
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", "0"],
-            env=_environment(), stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL, text=True,
-        )
-        try:
-            line = process.stdout.readline()
-            assert line.startswith("serving "), line
+        with _serving() as (process, __):
             threads = os.listdir(f"/proc/{process.pid}/task")
-        finally:
-            process.send_signal(signal.SIGTERM)
-            try:
-                process.wait(timeout=30)
-            except subprocess.TimeoutExpired:  # pragma: no cover
-                process.kill()
-                process.wait(timeout=10)
-            process.stdout.close()
         assert len(threads) == 1, f"threads after boot: {threads}"
+
+
+class TestNoTls:
+    """The frame protocol is plaintext: ``repro serve`` loads no ssl."""
+
+    def test_serve_loads_no_ssl(self):
+        loaded = _loaded_after(SERVE_HELP)
+        assert "asyncio" in loaded
+        assert not {"ssl", "_ssl"} & loaded
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/task"), reason="needs /proc"
+    )
+    def test_served_process_maps_no_openssl(self, tmp_path):
+        keys = np.arange(5_000, dtype=np.uint64)
+        with _serving("--checkpoint-dir", str(tmp_path)) as (process, port):
+            replies = _ask(
+                port,
+                protocol.Record("t", keys),
+                protocol.Checkpoint(),
+                protocol.Export("t"),
+            )
+            mapped = _maps_tls(process.pid)
+        assert [type(reply) for reply in replies] == [
+            protocol.RecordOk, protocol.CheckpointOk, protocol.ExportOk,
+        ], replies
+        assert replies[0].accepted == keys.size
+        assert not mapped, f"repro serve maps {mapped}"
+
+    def test_asyncio_loaded_first_keeps_ssl_importable(self):
+        out = _run(
+            "import asyncio\n"
+            + textwrap.dedent(SERVE_HELP)
+            + "import ssl\nprint(ssl.OPENSSL_VERSION_NUMBER > 0)\n"
+        )
+        assert out.split()[-1] == "True"
 
 
 class TestRegistryLoadsItself:
