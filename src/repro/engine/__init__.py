@@ -12,11 +12,12 @@ driver loop (see ``docs/architecture.md``, "Layer 5"):
   ingestion that hashes each chunk once and applies its per-shard
   sub-planes in the submitting thread, safe for many producers;
 - :mod:`repro.engine.checkpoint` — atomic on-disk snapshot/restore of
-  pools and estimators (write-to-temp + rename, CRC-validated);
+  pools and estimators with their metadata (write-to-temp + rename,
+  one CRC over the whole file);
 - :mod:`repro.engine.recovery` — :class:`CheckpointManager` and
   :class:`RetryPolicy`, generation-rotated crash recovery on top of
-  the checkpoint layer (CRC'd manifest, torn-generation fallback,
-  orphan sweep, bounded retries with deterministic jitter).
+  the checkpoint layer (the directory is the index, torn-generation
+  fallback, orphan sweep, bounded retries with deterministic jitter).
 
 Quickstart::
 

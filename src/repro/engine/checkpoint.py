@@ -1,12 +1,18 @@
 """Atomic on-disk snapshots of estimators and shard pools.
 
-Checkpoint files wrap the estimators' own ``to_bytes`` serialization in
-a small versioned container::
+Checkpoint files wrap the estimators' own ``to_bytes`` serialization,
+and the caller's metadata, in a small versioned container (version 2)::
 
     magic "RPCK" | u16 version | u8 class-name length | class name
-    | u32 CRC-32 of payload | u64 payload length | payload
+    | u32 meta length | meta (canonical JSON object)
+    | u64 payload length | payload | u32 CRC-32 of every preceding byte
 
-and are written **atomically and durably**: the bytes go to a temporary
+One file therefore publishes a state together with what a resume needs
+to know about it (the stream offset it was taken at). :func:`save`
+writes the head, the payload and the CRC as separate parts under one
+running CRC, so no joined copy of the payload is ever built.
+
+Files are written **atomically and durably**: the bytes go to a temporary
 file in the target directory (re-chmodded from ``mkstemp``'s private
 0600 to honor the process umask, like a plain ``open()`` would), are
 flushed and fsynced, the file is then renamed over the destination with
@@ -22,18 +28,17 @@ fault-injection suite can prove those guarantees.
 
 Validation at load time is **strict**: a torn, corrupted, or padded
 file is rejected rather than deserialized into a silently-wrong
-estimator. Beyond the magic/version/CRC checks, the container enforces
-exact framing — the class-name slice must be complete, and the file
-must end exactly at ``offset + payload_length`` (trailing bytes after
-the payload, e.g. from a concatenated or overwritten-in-place file,
-raise ``ValueError`` even though the CRC over the payload prefix would
-pass).
+estimator. The container enforces exact framing — every length-prefixed
+field must be complete and the file must end exactly at the CRC — then
+checks the CRC, and only then parses the metadata, which must be a
+UTF-8 JSON object. Every failure is a ``ValueError``; version-1 files
+(which kept their metadata elsewhere) are refused as unsupported.
 
 When observability is enabled (:mod:`repro.obs`), saves and loads
 record byte counters and duration histograms
 (``repro_checkpoint_{save,load}_{bytes_total,seconds}``).
 
-:func:`save` / :func:`load` work for every class
+:func:`save` / :func:`read` / :func:`load` work for every class
 :func:`~repro.estimators.registry.sketch_registry` accepts at its
 ``"checkpoint"`` scope: the serializable estimators, the
 :class:`~repro.engine.shards.ShardPool` (whose payload nests the
@@ -45,12 +50,13 @@ interleaved ingest/checkpoint/restore cycles to prove it.
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 import tempfile
 import time
 import zlib
-from typing import cast
+from typing import Any, cast
 
 from repro.estimators.base import CardinalityEstimator
 from repro.estimators.registry import sketch_registry
@@ -64,9 +70,12 @@ from repro.testing.faults import fire
 TEMP_PREFIX = ".checkpoint-"
 
 _HEADER = struct.Struct("<4sHB")  # magic, version, class-name length
-_TRAILER = struct.Struct("<IQ")  # crc32, payload length
+_META_LENGTH = struct.Struct("<I")
+_PAYLOAD_LENGTH = struct.Struct("<Q")
+_CRC = struct.Struct("<I")
 _MAGIC = b"RPCK"
-_VERSION = 1
+_VERSION = 2
+_WHAT = "checkpoint"
 
 
 def _current_umask() -> int:
@@ -106,14 +115,17 @@ def _fsync_directory(directory: str) -> None:
 def save(
     estimator: CardinalityEstimator,
     path: str | os.PathLike[str],
+    meta: dict[str, Any] | None = None,
     sync_directory: bool = True,
 ) -> int:
     """Atomically write an estimator snapshot; returns bytes written.
 
     The estimator must support ``to_bytes`` and be restorable through
-    :func:`load` (i.e. its class must be registered for checkpoints). After
-    the temp file is fsynced and renamed into place, the containing
-    directory is fsynced as well so the rename survives a crash; pass
+    :func:`load` (i.e. its class must be registered for checkpoints).
+    ``meta`` (default ``{}``) is stored beside the state as canonical
+    JSON and comes back from :func:`read`. After the temp file is
+    fsynced and renamed into place, the containing directory is fsynced
+    as well so the rename survives a crash; pass
     ``sync_directory=False`` to skip that (tests, throwaway dirs).
     """
     obs = get_registry()
@@ -124,16 +136,22 @@ def save(
             f"{class_name} is not checkpointable (not registered for "
             "checkpoints)"
         )
+    meta_bytes = json.dumps(
+        dict(meta or {}), sort_keys=True, separators=(",", ":")
+    ).encode("ascii")
     payload = estimator.to_bytes()
     name_bytes = class_name.encode("ascii")
-    blob = b"".join(
+    head = b"".join(
         (
             _HEADER.pack(_MAGIC, _VERSION, len(name_bytes)),
             name_bytes,
-            _TRAILER.pack(zlib.crc32(payload), len(payload)),
-            payload,
+            _META_LENGTH.pack(len(meta_bytes)),
+            meta_bytes,
+            _PAYLOAD_LENGTH.pack(len(payload)),
         )
     )
+    crc = _CRC.pack(zlib.crc32(payload, zlib.crc32(head)))
+    written = len(head) + len(payload) + len(crc)
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     descriptor, temp_path = tempfile.mkstemp(
@@ -148,7 +166,9 @@ def save(
             # publishes the file.
             if hasattr(os, "fchmod"):
                 os.fchmod(handle.fileno(), 0o666 & ~_current_umask())
-            handle.write(blob)
+            handle.write(head)
+            handle.write(payload)
+            handle.write(crc)
             handle.flush()
             fire("checkpoint.pre-fsync")
             os.fsync(handle.fileno())
@@ -166,42 +186,41 @@ def save(
         obs.counter(
             "repro_checkpoint_save_bytes_total",
             "Checkpoint bytes written by save()",
-        ).inc(len(blob))
+        ).inc(written)
         obs.histogram(
             "repro_checkpoint_save_seconds",
             "Wall time of one checkpoint save()",
         ).observe(time.perf_counter() - began)
-    return len(blob)
+    return written
 
 
-def load(path: str | os.PathLike[str]) -> CardinalityEstimator:
-    """Load, validate and restore a checkpoint written by :func:`save`.
+def read(
+    path: str | os.PathLike[str],
+) -> tuple[CardinalityEstimator, dict[str, Any]]:
+    """Load, validate and restore a checkpoint; returns (estimator, meta).
 
     Raises ``ValueError`` for anything that is not a complete, intact
-    checkpoint: wrong magic, unknown version or class, truncation, a
-    payload CRC mismatch, or trailing bytes after the payload (the file
-    must end exactly where the declared payload does).
+    checkpoint: wrong magic, unknown version or class, truncation,
+    trailing bytes after the CRC, a CRC mismatch, or metadata that is
+    not a UTF-8 JSON object.
     """
     obs = get_registry()
     began = time.perf_counter() if obs.enabled else 0.0
     with open(os.fspath(path), "rb") as handle:
         data = handle.read()
-    magic, version, name_length = unpack_header(_HEADER, data, "checkpoint")
+    magic, version, name_length = unpack_header(_HEADER, data, _WHAT)
     if magic != _MAGIC:
         raise ValueError("not a checkpoint file: bad magic")
     if version != _VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    what = "checkpoint"
-    name, offset = take(data, _HEADER.size, name_length, what, "class name")
-    trailer, offset = take(data, offset, _TRAILER.size, what, "trailer")
-    crc, payload_length = _TRAILER.unpack(trailer)
-    payload, offset = take(data, offset, payload_length, what, "body")
-    # Strict framing: trailing garbage is rejected too, since a
-    # concatenated or overwritten-in-place file would pass the CRC over
-    # the payload prefix.
-    require_consumed(data, offset, what)
-    if zlib.crc32(payload) != crc:
-        raise ValueError("corrupt checkpoint: payload CRC mismatch")
+    name, offset = take(data, _HEADER.size, name_length, _WHAT, "class name")
+    meta_bytes, offset = _take_prefixed(data, offset, _META_LENGTH, "meta")
+    payload, offset = _take_prefixed(data, offset, _PAYLOAD_LENGTH, "body")
+    crc, end = take(data, offset, _CRC.size, _WHAT, "CRC")
+    require_consumed(data, end, _WHAT)
+    if zlib.crc32(memoryview(data)[:offset]) != _CRC.unpack(crc)[0]:
+        raise ValueError("corrupt checkpoint: CRC mismatch")
+    meta = _decode_meta(meta_bytes)
     class_name = name.decode("ascii")
     cls = sketch_registry("checkpoint").get(class_name)
     if cls is None:
@@ -218,4 +237,32 @@ def load(path: str | os.PathLike[str]) -> CardinalityEstimator:
             "repro_checkpoint_load_seconds",
             "Wall time of one checkpoint load()",
         ).observe(time.perf_counter() - began)
-    return estimator
+    return estimator, meta
+
+
+def load(path: str | os.PathLike[str]) -> CardinalityEstimator:
+    """The estimator of :func:`read`, without its metadata."""
+    return read(path)[0]
+
+
+def _take_prefixed(
+    data: bytes, offset: int, prefix: struct.Struct, field: str
+) -> tuple[bytes, int]:
+    """Slice a field preceded by its length; return (bytes, end)."""
+    raw, offset = take(data, offset, prefix.size, _WHAT, f"{field} length")
+    (size,) = prefix.unpack(raw)
+    return take(data, offset, size, _WHAT, field)
+
+
+def _decode_meta(meta_bytes: bytes) -> dict[str, Any]:
+    """The metadata object; ``ValueError`` for anything else."""
+    try:
+        meta = json.loads(meta_bytes.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("corrupt checkpoint: meta nests too deeply") from None
+    if not isinstance(meta, dict):
+        raise ValueError(
+            f"corrupt checkpoint: meta is a {type(meta).__name__}, "
+            "not a JSON object"
+        )
+    return meta

@@ -16,12 +16,12 @@ estimation accuracy, and optionally checkpoints/restores the pool::
 ``--checkpoint-dir`` puts the run under a
 :class:`~repro.engine.recovery.CheckpointManager`: periodic safe-point
 checkpoints every ``--checkpoint-every`` records, generation rotation
-with ``--keep``, and a final generation at the end of the run whose
-metadata records the absolute stream offset. After a crash,
-``--resume`` (with the *same* ``--items/--duplication/--seed``)
-restores the newest valid generation and replays only the remainder of
-the deterministic stream — the finished estimate matches the
-uninterrupted run's. The ``REPRO_FAULTS`` environment variable arms
+with ``--keep``, and a final generation at the end of the run. Every
+generation's metadata records the absolute stream offset
+(``records_ingested``). After a crash, ``--resume`` (with the *same*
+``--items/--duplication/--seed``) restores the newest valid generation
+and replays only the remainder of the deterministic stream — the
+finished estimate matches the uninterrupted run's. The ``REPRO_FAULTS`` environment variable arms
 :mod:`repro.testing.faults` failpoints inside the run (crash/resume
 smoke only; see docs/recovery.md).
 
@@ -206,7 +206,14 @@ def _run(args: "argparse.Namespace") -> int:
                 f"generation {generation.generation} holds a "
                 f"{type(pool).__name__}, not a ShardPool"
             )
-        skip = int(generation.meta.get("records_ingested", 0))
+        skip = generation.meta.get("records_ingested")
+        # bool is an int subclass: a saved true is not offset 1.
+        if type(skip) is not int or skip < 0:
+            raise SystemExit(
+                f"cannot resume from {args.checkpoint_dir}: generation "
+                f"{generation.generation} has records_ingested={skip!r}, "
+                "not a non-negative integer"
+            )
         print(
             f"resumed generation {generation.generation} from "
             f"{args.checkpoint_dir} (records already ingested: {skip})"

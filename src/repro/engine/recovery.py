@@ -4,16 +4,15 @@
 module makes a *sequence* of snapshots survivable:
 
 - :class:`CheckpointManager` owns one checkpoint directory and writes
-  generation-numbered files (``ckpt-00000042.rpck``) plus a CRC'd JSON
-  ``MANIFEST.json`` listing every retained generation and its metadata.
-  A generation's path always follows from its number; a manifest that
-  is torn or malformed in any way is ignored whole. Saves rotate: after
-  each new generation the oldest ones beyond ``keep`` are pruned. Loads
-  fall back: :meth:`CheckpointManager.load_latest`
-  walks generations newest-first — across the union of the manifest and
-  a directory scan, so a crash *between* publishing the generation file
-  and republishing the manifest still recovers the newest state — and
-  returns the first one :func:`repro.engine.checkpoint.load` accepts. A
+  generation-numbered files (``ckpt-00000042.rpck``). Each file carries
+  its own metadata inside its CRC'd container, so one atomic rename
+  publishes a generation's state and its stream offset together, and
+  the directory listing is the only index: a generation's path follows
+  from its number, and no other file in the directory is read. Saves
+  rotate: after each new generation the oldest ones beyond ``keep``
+  are pruned. Loads fall back: :meth:`CheckpointManager.load_latest`
+  walks generations newest-first and returns the first one
+  :func:`repro.engine.checkpoint.read` accepts, with its metadata. A
   torn or truncated latest generation therefore degrades to the
   previous good one instead of an unrecoverable error.
 - :class:`RetryPolicy` wraps checkpoint I/O in bounded retries with
@@ -27,11 +26,11 @@ module makes a *sequence* of snapshots survivable:
   temp files of concurrent savers in the same directory.
 
 Every crash window is marked with a :mod:`repro.testing.faults`
-failpoint (``checkpoint.pre-fsync``, ``checkpoint.post-replace``,
-``recovery.pre-manifest``), and the fault-injection suite
-(``tests/test_recovery.py``, ``tests/test_crash_recovery.py``) proves
-that each armed window either leaves the previous generation loadable
-or is healed by manifest/scan fallback.
+failpoint (``checkpoint.pre-fsync``, ``checkpoint.post-replace``), and
+the fault-injection suite (``tests/test_recovery.py``,
+``tests/test_crash_recovery.py``) proves that each armed window leaves
+either the previous generation or the new one loadable, with the
+stream offset it was taken at.
 
 When :mod:`repro.obs` is enabled, recovery emits the
 :class:`~repro.obs.instrument.RecoveryMetrics` catalog: save/retry/
@@ -43,20 +42,17 @@ failure model.
 from __future__ import annotations
 
 import errno
-import json
 import os
 import re
-import tempfile
 import threading
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, cast
 
 from repro.engine import checkpoint
 from repro.estimators.base import CardinalityEstimator
 from repro.obs.metrics import get_registry
-from repro.testing.faults import fire
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.instrument import RecoveryMetrics
@@ -82,10 +78,9 @@ TRANSIENT_ERRNOS: frozenset[int] = frozenset(
     }
 )
 
-_GENERATION_RE = re.compile(r"^ckpt-(\d{8})\.rpck$")
+#: The names :func:`_generation_name` gives: numbers 1..99,999,999.
+_GENERATION_RE = re.compile(r"ckpt-(?!0{8})([0-9]{8})\.rpck")
 _MAX_GENERATION = 99_999_999
-_MANIFEST_NAME = "MANIFEST.json"
-_MANIFEST_VERSION = 1
 
 
 class RecoveryError(RuntimeError):
@@ -202,18 +197,15 @@ class RetryPolicy:
 class Generation:
     """One retained checkpoint generation, as recovery sees it.
 
-    ``meta`` is the caller-supplied metadata recorded at save time (the
-    pipeline stores its safe-point record counts there, which is what
-    makes exact resume possible); generations recovered from a
-    directory scan after a manifest-publication crash carry ``meta={}``
-    and ``manifested=False``.
+    ``meta`` is the caller-supplied metadata saved inside the
+    generation's file (the pipeline stores its safe-point record counts
+    there, which is what makes exact resume possible).
     """
 
     generation: int
     path: str
     size: int
     meta: dict[str, Any] = field(default_factory=dict)
-    manifested: bool = True
 
 
 class CheckpointManager:
@@ -278,62 +270,45 @@ class CheckpointManager:
         estimator: CardinalityEstimator,
         meta: dict[str, Any] | None = None,
     ) -> Generation:
-        """Write the next generation, publish it, rotate old ones.
+        """Write the next generation with its metadata, rotate old ones.
 
-        The generation file is written first (atomically, under the
-        retry policy), then the manifest is republished to include it,
-        then generations beyond ``keep`` are pruned. A crash after the
-        file is durable but before the manifest lands is healed at load
-        time by the directory-scan fallback (the ``recovery.pre-manifest``
-        failpoint sits exactly in that window).
+        The number is one past the newest file in the directory. The
+        file is written atomically, under the retry policy, then
+        generations beyond ``keep`` are pruned.
         """
         obs = self._obs
         began = time.perf_counter() if obs is not None else 0.0
         meta = dict(meta or {})
         with self._lock:
-            entries = self._merged_generations()
-            number = (entries[-1].generation + 1) if entries else 1
+            numbers = self._numbers()
+            number = (numbers[-1] + 1) if numbers else 1
             path = self._generation_path(number)
-            self.retry.call(
+            size = self.retry.call(
                 lambda: checkpoint.save(
-                    estimator, path, sync_directory=self.sync_directory
+                    estimator, path, meta, sync_directory=self.sync_directory
                 ),
                 on_retry=self._count_retry,
             )
-            fire("recovery.pre-manifest")
-            generation = Generation(
-                generation=number,
-                path=path,
-                size=os.path.getsize(path),
-                meta=meta,
-            )
-            retained, pruned = self._rotate(entries + [generation])
-            self._write_manifest(retained)
+            numbers.append(number)
+            pruned = numbers[: -self.keep]
             for stale in pruned:
                 try:
-                    os.unlink(stale.path)
+                    os.unlink(self._generation_path(stale))
                 except OSError:
                     pass
         if obs is not None:
             obs.saves.inc()
             obs.pruned.inc(len(pruned))
-            obs.generations.set(len(retained))
+            obs.generations.set(len(numbers) - len(pruned))
             obs.save_seconds.observe(time.perf_counter() - began)
-        return generation
+        return Generation(
+            generation=number, path=path, size=cast(int, size), meta=meta
+        )
 
     def _count_retry(self, attempt: int, error: BaseException) -> None:
         """Retry hook: surface retry volume in the metrics registry."""
         if self._obs is not None:
             self._obs.retries.inc()
-
-    def _rotate(
-        self, entries: list[Generation]
-    ) -> tuple[list[Generation], list[Generation]]:
-        """Split generations into (retained newest ``keep``, pruned)."""
-        entries = sorted(entries, key=lambda g: g.generation)
-        if len(entries) <= self.keep:
-            return entries, []
-        return entries[-self.keep:], entries[: -self.keep]
 
     # ------------------------------------------------------------------
     # Loading
@@ -341,11 +316,12 @@ class CheckpointManager:
     def load_latest(self) -> tuple[CardinalityEstimator, Generation]:
         """Restore the newest generation that validates; with fallback.
 
-        Candidates are the union of manifest entries and on-disk
-        ``ckpt-*.rpck`` files, newest generation first. Each candidate
-        is validated by :func:`repro.engine.checkpoint.load` (magic,
-        CRC, strict framing); a torn or truncated one is skipped — and
-        counted as a fallback — rather than trusted. Raises
+        Candidates are the ``ckpt-*.rpck`` files in the directory,
+        newest first. Each is validated by
+        :func:`repro.engine.checkpoint.read` (magic, CRC, strict
+        framing, metadata); a torn or truncated one is skipped — and
+        counted as a fallback — rather than trusted. The returned
+        generation carries the metadata of the file it loaded. Raises
         :class:`RecoveryError` when nothing restores.
         """
         obs = self._obs
@@ -353,19 +329,21 @@ class CheckpointManager:
         # Same lock as save(): a load racing a concurrent save must not
         # scan the directory mid-rotation and chase a just-pruned file.
         with self._lock:
-            candidates = list(reversed(self._merged_generations()))
+            candidates = self._numbers()[::-1]
         failures: list[str] = []
-        for candidate in candidates:
+        for number in candidates:
+            path = self._generation_path(number)
             try:
-                estimator = checkpoint.load(candidate.path)
+                estimator, meta = checkpoint.read(path)
+                size = os.path.getsize(path)
             except (OSError, ValueError) as error:
-                failures.append(f"{os.path.basename(candidate.path)}: {error}")
+                failures.append(f"{os.path.basename(path)}: {error}")
                 if obs is not None:
                     obs.fallbacks.inc()
                 continue
             if obs is not None:
                 obs.load_seconds.observe(time.perf_counter() - began)
-            return estimator, candidate
+            return estimator, Generation(number, path, size, meta)
         detail = "; ".join(failures) if failures else "no generations found"
         raise RecoveryError(
             f"no loadable checkpoint generation in {self.directory!r} "
@@ -373,9 +351,25 @@ class CheckpointManager:
         )
 
     def generations(self) -> list[Generation]:
-        """Every known generation, oldest first (manifest ∪ disk scan)."""
+        """Every generation file in the directory, oldest first.
+
+        Each carries the metadata saved in its file, or ``{}`` when the
+        file does not validate.
+        """
+        out: list[Generation] = []
         with self._lock:
-            return self._merged_generations()
+            for number in self._numbers():
+                path = self._generation_path(number)
+                try:
+                    size = os.path.getsize(path)
+                except OSError:
+                    continue
+                try:
+                    meta = checkpoint.read(path)[1]
+                except (OSError, ValueError):
+                    meta = {}
+                out.append(Generation(number, path, size, meta))
+        return out
 
     # ------------------------------------------------------------------
     # Hygiene
@@ -415,135 +409,23 @@ class CheckpointManager:
         return removed
 
     # ------------------------------------------------------------------
-    # Manifest
+    # The directory index
     # ------------------------------------------------------------------
-    @property
-    def manifest_path(self) -> str:
-        """Absolute path of the CRC'd manifest file."""
-        return os.path.join(self.directory, _MANIFEST_NAME)
-
     def _generation_path(self, number: int) -> str:
         """Where generation ``number`` lives: always in the directory."""
         return os.path.join(self.directory, _generation_name(number))
 
-    def _merged_generations(self) -> list[Generation]:
-        """Manifest entries ∪ on-disk generation files, oldest first.
-
-        The manifest is authoritative for metadata; the disk scan heals
-        the two stale-manifest cases (a generation published but not
-        yet manifested, and a manifest entry whose file was pruned by a
-        crashed rotation). A torn or malformed manifest degrades to
-        scan-only.
-        """
-        manifest = {g.generation: g for g in self._read_manifest()}
-        merged: dict[int, Generation] = {}
+    def _numbers(self) -> list[int]:
+        """The generation numbers of the files on disk, oldest first."""
         try:
             names = os.listdir(self.directory)
         except OSError:
-            names = []
-        for name in names:
-            match = _GENERATION_RE.match(name)
-            if not match:
-                continue
-            number = int(match.group(1))
-            path = os.path.join(self.directory, name)
-            known = manifest.get(number)
-            if known is not None:
-                merged[number] = known
-            else:
-                try:
-                    size = os.path.getsize(path)
-                except OSError:
-                    continue
-                merged[number] = Generation(
-                    generation=number,
-                    path=path,
-                    size=size,
-                    meta={},
-                    manifested=False,
-                )
-        return [merged[number] for number in sorted(merged)]
-
-    def _read_manifest(self) -> list[Generation]:
-        """Parse and check the manifest; [] when absent, torn or malformed.
-
-        The manifest carries metadata only. Each entry must be an object
-        with an integer ``generation`` in range, the ``file`` name that
-        number gives, an integer ``bytes`` >= 0 and an object ``meta``;
-        the path comes from the number, never from the file. Any other
-        entry, like a CRC mismatch, distrusts the whole file.
-        """
-        try:
-            with open(self.manifest_path, "rb") as handle:
-                document = json.loads(handle.read().decode("utf-8"))
-        except (OSError, ValueError):
             return []
-        if not isinstance(document, dict):
-            return []
-        body = document.get("body")
-        crc = document.get("crc")
-        if body is None or crc != zlib.crc32(_canonical_json(body)):
-            return []  # torn manifest: fall back to the directory scan
-        if (
-            not isinstance(body, dict)
-            or not _is_int(body.get("version"))
-            or body["version"] != _MANIFEST_VERSION
-            or not isinstance(body.get("generations"), list)
-        ):
-            return []
-        out: list[Generation] = []
-        for entry in body["generations"]:
-            number = entry.get("generation") if isinstance(entry, dict) else None
-            if not (
-                _is_int(number)
-                and 0 < number <= _MAX_GENERATION
-                and entry.get("file") == _generation_name(number)
-                and _is_int(entry.get("bytes"))
-                and entry["bytes"] >= 0
-                and isinstance(entry.get("meta"), dict)
-            ):
-                return []  # malformed: distrust the whole file
-            out.append(
-                Generation(
-                    generation=number,
-                    path=self._generation_path(number),
-                    size=entry["bytes"],
-                    meta=entry["meta"],
-                )
-            )
-        return out
-
-    def _write_manifest(self, entries: list[Generation]) -> None:
-        """Atomically republish the manifest for ``entries``."""
-        body = {
-            "version": _MANIFEST_VERSION,
-            "generations": [
-                {
-                    "generation": g.generation,
-                    "file": os.path.basename(g.path),
-                    "bytes": g.size,
-                    "meta": g.meta,
-                }
-                for g in sorted(entries, key=lambda g: g.generation)
-            ],
-        }
-        document = {"crc": zlib.crc32(_canonical_json(body)), "body": body}
-        blob = json.dumps(document, sort_keys=True).encode("utf-8")
-        descriptor, temp_path = tempfile.mkstemp(
-            prefix=".manifest-", dir=self.directory
+        return sorted(
+            int(match.group(1))
+            for match in map(_GENERATION_RE.fullmatch, names)
+            if match
         )
-        try:
-            with os.fdopen(descriptor, "wb") as handle:
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp_path, self.manifest_path)
-        except BaseException:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
-            raise
 
 
 def _generation_name(number: int) -> str:
@@ -551,15 +433,3 @@ def _generation_name(number: int) -> str:
     if not 0 < number <= _MAX_GENERATION:
         raise ValueError(f"generation number out of range: {number}")
     return f"ckpt-{number:08d}.rpck"
-
-
-def _is_int(value: object) -> bool:
-    """Whether a decoded JSON value is an integer (``true`` is not)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _canonical_json(value: object) -> bytes:
-    """Canonical JSON bytes — the manifest CRC is computed over these."""
-    return json.dumps(
-        value, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")

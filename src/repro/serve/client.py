@@ -102,24 +102,6 @@ class ServeClient:
     # ------------------------------------------------------------------
     # Frame plumbing
     # ------------------------------------------------------------------
-    async def _read_response(self) -> Response:
-        while True:
-            chunk = await self._reader.read(65536)
-            if not chunk:
-                self._decoder.check_eof()
-                raise ConnectionResetError(
-                    "server closed the connection mid-response"
-                )
-            bodies = list(self._decoder.feed(chunk))
-            if bodies:
-                if len(bodies) > 1:
-                    # Only ever request one response at a time here;
-                    # pipelined reads use _read_responses below.
-                    raise RuntimeError(
-                        "unexpected extra response frames"
-                    )
-                return protocol.decode_response(bodies[0])
-
     async def _read_responses(self, count: int) -> list[Response]:
         responses: list[Response] = []
         while len(responses) < count:
@@ -139,7 +121,8 @@ class ServeClient:
         """Send one request and await its response (FIFO order)."""
         self._writer.write(encode_request(request))
         await self._writer.drain()
-        return await self._read_response()
+        (response,) = await self._read_responses(1)
+        return response
 
     @staticmethod
     def _expect(response: Response, expected: type) -> Response:
@@ -290,7 +273,7 @@ class RetryingClient:
                 await self._disconnect()
                 if attempt >= policy.max_attempts:
                     raise
-                await asyncio.sleep(policy.delay(attempt))
+                await asyncio.sleep(policy.delay(attempt - 1))
             except ServeError as error:
                 if (
                     attempt >= policy.max_attempts
@@ -298,7 +281,7 @@ class RetryingClient:
                 ):
                     raise
                 await self._disconnect()
-                await asyncio.sleep(policy.delay(attempt))
+                await asyncio.sleep(policy.delay(attempt - 1))
             attempt += 1
 
     async def record(self, tenant: str, keys) -> int:

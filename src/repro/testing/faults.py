@@ -60,8 +60,9 @@ __all__ = [
 #: the crash/resume smoke to tell an injected crash from a real failure.
 CRASH_EXIT_CODE = 70
 
-#: Every failpoint name production code may fire. Keep in lockstep with
-#: the call sites (and the catalog table in ``docs/recovery.md``).
+#: Every failpoint name production code may fire: the names passed to
+#: ``fire`` under ``repro`` and the rows of the catalog table in
+#: ``docs/recovery.md`` (``tests/test_faults.py`` pins all three).
 FAILPOINTS: frozenset[str] = frozenset(
     {
         # checkpoint.save: blob written to the temp file, fsync not yet
@@ -74,9 +75,6 @@ FAILPOINTS: frozenset[str] = frozenset(
         # IngestPipeline.submit: about to apply one sub-plane to its
         # shard — a crash here loses the rest of the current chunk.
         "pipeline.worker-apply",
-        # CheckpointManager.save: generation file durable, manifest not
-        # yet republished — recovery must still find the new generation.
-        "recovery.pre-manifest",
     }
 )
 
@@ -309,7 +307,7 @@ def arm_from_env(spec: str | None) -> FaultPlan | None:
     The spec is a comma-separated list of ``name:mode@ordinal`` items::
 
         REPRO_FAULTS="checkpoint.pre-fsync:crash@2"
-        REPRO_FAULTS="pipeline.worker-apply:error@1,recovery.pre-manifest:transient@1"
+        REPRO_FAULTS="pipeline.worker-apply:error@1,checkpoint.pre-fsync:transient@1"
 
     ``mode`` is ``crash`` (hard ``os._exit``), ``error`` (fatal
     :class:`InjectedFault`) or ``transient`` (retryable fault);

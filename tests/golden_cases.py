@@ -99,11 +99,15 @@ def tenants() -> TenantRegistry:
     return registry
 
 
-def checkpoint_bytes(sketch) -> bytes:
+#: The metadata the golden checkpoint file carries.
+CHECKPOINT_META = {"final": True, "records_submitted": 6_000, "tenants": 3}
+
+
+def checkpoint_bytes(sketch, meta) -> bytes:
     """The bytes :func:`repro.engine.checkpoint.save` writes for ``sketch``."""
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "golden.rpck")
-        checkpoint.save(sketch, path, sync_directory=False)
+        checkpoint.save(sketch, path, meta, sync_directory=False)
         with open(path, "rb") as handle:
             return handle.read()
 
@@ -133,7 +137,7 @@ def build() -> dict:
     cases["wire"]["ShardPool"] = encode_sketch(pool()).hex()
     cases["pool"] = pool().to_bytes().hex()
     cases["tenants"] = tenants().to_bytes().hex()
-    cases["checkpoint"] = checkpoint_bytes(tenants()).hex()
+    cases["checkpoint"] = checkpoint_bytes(tenants(), CHECKPOINT_META).hex()
     for name in ALL_ESTIMATORS:
         for bits, design in FACTORY_SIZES:
             sketch = make_estimator(name, bits, design, seed=5)

@@ -441,6 +441,23 @@ class TestEngineCli:
         assert "resumed generation" in out
         assert "records already ingested: 6000" in out
 
+    @pytest.mark.parametrize(
+        "offset", ["many", -5, True], ids=["string", "negative", "bool"]
+    )
+    def test_resume_refuses_a_bad_offset(self, tmp_path, offset):
+        from repro.cli import main
+        from repro.engine.recovery import CheckpointManager
+
+        directory = str(tmp_path / "ckpts")
+        CheckpointManager(directory, sync_directory=False).save(
+            smb_pool(num_shards=2), meta={"records_ingested": offset}
+        )
+        with pytest.raises(SystemExit, match="cannot resume from .*ckpts: "):
+            main([
+                "engine", "--shards", "2", "--items", "2000",
+                "--checkpoint-dir", directory, "--resume",
+            ])
+
 
 class _CountingSMB(SelfMorphingBitmap):
     """Test double: counts records actually applied via the plane path."""
@@ -528,13 +545,50 @@ class TestCheckpointStrictness:
         assert checkpoint.load(path).to_bytes() == pool.to_bytes()
 
     def test_truncated_class_name_rejected(self, tmp_path):
+        # Empty meta and payload follow a name that claims 200 bytes.
+        rest = b"\x00" * (
+            checkpoint._META_LENGTH.size
+            + checkpoint._PAYLOAD_LENGTH.size
+            + checkpoint._CRC.size
+        )
         bad = checkpoint._HEADER.pack(
             checkpoint._MAGIC, checkpoint._VERSION, 200
-        ) + b"Short" + b"\x00" * checkpoint._TRAILER.size
+        ) + b"Short" + rest
         path = tmp_path / "badname.ckpt"
         path.write_bytes(bad)
         with pytest.raises(ValueError, match="truncated class name"):
             checkpoint.load(path)
+
+    def test_every_byte_is_under_the_crc(self, tmp_path):
+        smb = SelfMorphingBitmap(64, threshold=8, seed=1)
+        path = tmp_path / "smb.ckpt"
+        checkpoint.save(smb, path, {"records_ingested": 7})
+        data = path.read_bytes()
+        for index in range(len(data)):
+            flipped = bytearray(data)
+            flipped[index] ^= 0x01
+            path.write_bytes(bytes(flipped))
+            with pytest.raises(ValueError):
+                checkpoint.load(path)
+
+    def test_version_1_container_refused(self, tmp_path):
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(
+            checkpoint._HEADER.pack(checkpoint._MAGIC, 1, 0) + b"\x00" * 12
+        )
+        with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+            checkpoint.load(path)
+
+    def test_meta_round_trips(self, tmp_path):
+        pool = smb_pool(num_shards=2)
+        path = tmp_path / "pool.ckpt"
+        meta = {"records_ingested": 7, "note": "x"}
+        checkpoint.save(pool, path, meta, sync_directory=False)
+        restored, loaded = checkpoint.read(path)
+        assert loaded == meta
+        assert restored.to_bytes() == pool.to_bytes()
+        checkpoint.save(pool, path, sync_directory=False)
+        assert checkpoint.read(path)[1] == {}
 
     def test_pool_payload_trailing_bytes_rejected(self):
         pool = smb_pool(num_shards=2)

@@ -1,6 +1,9 @@
 """The fault-injection harness itself: arming, firing, determinism."""
 
+import ast
+import re
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -209,3 +212,39 @@ class TestArmFromEnv:
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(ValueError):
             arm_from_env(spec)
+
+
+ROOT = Path(__file__).parent.parent
+
+
+def _fired_names():
+    """Every name passed to ``fire(...)`` under ``src/repro``."""
+    names = set()
+    for path in (ROOT / "src" / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "fire"
+            ):
+                (name,) = node.args
+                assert isinstance(name, ast.Constant), (
+                    f"{path}:{node.lineno} fires a computed name"
+                )
+                names.add(name.value)
+    return names
+
+
+def _documented_names():
+    """The rows of the failpoint catalog table in docs/recovery.md."""
+    doc = (ROOT / "docs" / "recovery.md").read_text(encoding="utf-8")
+    catalog = doc.split("## Failpoint catalog", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"^\| `([a-z.-]+)` \|", catalog, re.MULTILINE))
+
+
+class TestCatalog:
+    def test_catalog_is_exactly_the_fired_names(self):
+        assert _fired_names() == FAILPOINTS
+
+    def test_catalog_is_exactly_the_documented_rows(self):
+        assert _documented_names() == FAILPOINTS

@@ -62,8 +62,11 @@ def test_checkpoint_file(tmp_path):
     data = _golden("checkpoint")
     path = tmp_path / "golden.rpck"
     path.write_bytes(data)
-    assert cases.checkpoint_bytes(checkpoint.load(path)) == data
-    assert cases.checkpoint_bytes(cases.tenants()) == data
+    registry, meta = checkpoint.read(path)
+    assert meta == cases.CHECKPOINT_META
+    assert cases.checkpoint_bytes(registry, meta) == data
+    rebuilt = cases.checkpoint_bytes(cases.tenants(), cases.CHECKPOINT_META)
+    assert rebuilt == data
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN["factory"]))

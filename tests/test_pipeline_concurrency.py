@@ -158,9 +158,8 @@ def test_quiesced_checkpoints_never_capture_mid_chunk(tmp_path):
     generations = registry.generations()
     assert len(generations) >= 5  # periodic + external + final
     for generation in generations:
-        counted = generation.meta.get("records_submitted")
-        if counted is None:  # pragma: no cover - unmanifested fallback
-            continue
+        assert "records_submitted" in generation.meta, generation
+        counted = generation.meta["records_submitted"]
         # Periodic checkpoints fire from inside the triggering submit
         # (one allowed in flight), so they are chunk-aligned, never
         # torn mid-chunk.

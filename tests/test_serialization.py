@@ -378,11 +378,20 @@ def _registry_fields(registry):
     return fields
 
 
-def _checkpoint_bytes(sketch) -> bytes:
+def _checkpoint_body(sketch) -> bytes:
+    """A checkpoint file of ``sketch`` without its final CRC."""
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "sketch.rpck"
-        checkpoint.save(sketch, path, sync_directory=False)
-        return path.read_bytes()
+        checkpoint.save(
+            sketch, path, {"records_submitted": 2_000}, sync_directory=False
+        )
+        return path.read_bytes()[:-4]
+
+
+def _checkpoint_meta_at(body) -> tuple[int, int]:
+    """Offset of a checkpoint's meta length field, and the meta length."""
+    meta_at = 7 + body[6]
+    return meta_at, struct.unpack_from("<I", body, meta_at)[0]
 
 
 def _load_checkpoint(data):
@@ -390,17 +399,6 @@ def _load_checkpoint(data):
         path = Path(directory) / "sketch.rpck"
         path.write_bytes(data)
         return checkpoint.load(path)
-
-
-def _reseal_checkpoint(data):
-    """Recompute the payload CRC over whatever follows the trailer."""
-    if len(data) < 7:
-        return data
-    crc_at = 7 + data[6]
-    if len(data) < crc_at + 12:
-        return data
-    crc = struct.pack("<I", zlib.crc32(data[crc_at + 12:]))
-    return data[:crc_at] + crc + data[crc_at + 4:]
 
 
 def _frame_body(sketch, codec=None):
@@ -451,13 +449,14 @@ def _targets():
         "tenants", registry.to_bytes(), TenantRegistry.from_bytes,
         _registry_fields(registry),
     ))
-    pool_file = _checkpoint_bytes(pool)
-    name_len = pool_file[6]
+    pool_file = _checkpoint_body(pool)
+    meta_at, meta_len = _checkpoint_meta_at(pool_file)
+    payload_at = meta_at + 4 + meta_len
     targets.append(Target(
         "checkpoint", pool_file, _load_checkpoint,
-        [(6, "<B"), (7 + name_len + 4, "<Q")]
-        + _pool_fields(pool, 7 + name_len + 12),
-        seal=_reseal_checkpoint,
+        [(6, "<B"), (meta_at, "<I"), (payload_at, "<Q")]
+        + _pool_fields(pool, payload_at + 8),
+        seal=_seal_frame,
     ))
     sparse = Bitmap(20_000, seed=3)
     sparse.record_many(distinct_items(100, seed=13))
@@ -523,6 +522,29 @@ class TestBoundedDecoding:
     def test_mutated_fields(self, target, data):
         payload = target.seal(data.draw(field_mutation(target)))
         assert _peak_bytes(target.decode, payload) <= target.limit(len(payload))
+
+
+class TestCheckpointMeta:
+    """Hostile metadata under a valid CRC is a ValueError, nothing else."""
+
+    @pytest.mark.parametrize(
+        "meta",
+        [b"[" * 5_000, b'[{"records_submitted":1}]', b'{"k":"\xff"}'],
+        ids=["nested-5000", "json-list", "invalid-utf8"],
+    )
+    def test_hostile_meta_is_refused(self, meta):
+        body = _checkpoint_body(_small_pool())
+        meta_at, meta_len = _checkpoint_meta_at(body)
+        hostile = (
+            body[:meta_at] + struct.pack("<I", len(meta)) + meta
+            + body[meta_at + 4 + meta_len:]
+        )
+        with pytest.raises(ValueError):
+            _load_checkpoint(_seal_frame(hostile))
+        # Under the valid file's CRC, the CRC check refuses it first.
+        stale = hostile + _seal_frame(body)[-4:]
+        with pytest.raises(ValueError, match="CRC mismatch"):
+            _load_checkpoint(stale)
 
 
 class TestHeadCases:

@@ -36,7 +36,7 @@ from repro.engine.pipeline import IngestPipeline
 from repro.engine.shards import ShardPool
 from repro.engine.recovery import CheckpointManager, RecoveryError, RetryPolicy
 from repro.serve import protocol
-from repro.serve.client import ServeClient, ServeError
+from repro.serve.client import RetryingClient, ServeClient, ServeError
 from repro.serve.server import (
     BACKLOG_HIGH,
     BACKLOG_HIGH_BYTES,
@@ -1073,6 +1073,32 @@ def test_record_ack_reports_pipeline_accepted_count(monkeypatch):
             await server.stop()
 
     assert asyncio.run(scenario()) == 7
+
+
+def test_retrying_client_backs_off_on_the_policy_schedule(monkeypatch):
+    """Against a closed port, retry k waits ``policy.delay(k)``, the
+    schedule :meth:`RetryPolicy.call` uses."""
+    import repro.serve.client as client_module
+
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    slept = []
+
+    async def record_sleep(delay):
+        slept.append(delay)
+
+    monkeypatch.setattr(client_module.asyncio, "sleep", record_sleep)
+    policy = RetryPolicy(max_attempts=4, jitter=0)
+
+    async def scenario():
+        async with RetryingClient("127.0.0.1", port, policy=policy) as client:
+            await client.estimate("t")
+
+    with pytest.raises(OSError):
+        asyncio.run(scenario())
+    assert slept == [policy.delay(0), policy.delay(1), policy.delay(2)]
+    assert slept == [0.005, 0.01, 0.02]
 
 
 @pytest.mark.parametrize("shards", [1, 4])

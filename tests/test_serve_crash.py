@@ -7,7 +7,7 @@ RECORDs. The suite then restarts the server with ``--resume`` on the
 same port and asserts the recovery contract end to end:
 
 - the restored estimates are **bit-exact** with a local oracle holding
-  exactly the manifested generation's records (the checkpointed prefix;
+  exactly the saved generation's records (the checkpointed prefix;
   everything recorded after the last CHECKPOINT is gone, as documented);
 - the client's :class:`~repro.serve.client.RetryingClient` — driven by
   the same :class:`~repro.engine.recovery.RetryPolicy` as the
@@ -21,7 +21,7 @@ same port and asserts the recovery contract end to end:
 
 The subprocess speaks the real wire protocol over a real socket; the
 failpoint ordinal is placed so the crash lands *after* the checkpoint
-(set A applied and manifested) and *during* set B's ingest.
+(set A applied and saved) and *during* set B's ingest.
 """
 
 import asyncio
@@ -192,7 +192,7 @@ def test_kill_and_resume_bit_exact(tmp_path):
         assert server.returncode == CRASH_EXIT_CODE
         assert saw_disconnect, "client never observed the crash"
 
-        # Oracle for the manifested generation: set A, drained, equals a
+        # Oracle for the saved generation: set A, drained, equals a
         # synchronous single-producer ingest of the same frames in order.
         oracle = TenantRegistry(SERVER_CONFIG)
         for index in range(frames_a):
@@ -209,7 +209,7 @@ def test_kill_and_resume_bit_exact(tmp_path):
                 stats = await client.stats()
                 # Re-record all of B (at-least-once: duplicates of the
                 # partially-applied pre-crash suffix are harmless by
-                # duplicate-insensitivity — and the manifested
+                # duplicate-insensitivity — and the saved
                 # generation never contained them anyway).
                 for index in range(frames_a, frames_a + frames_b):
                     await client.record(TENANT, batch_for(index))
@@ -221,7 +221,7 @@ def test_kill_and_resume_bit_exact(tmp_path):
 
         resumed_estimate, stats, final_estimate = asyncio.run(phase_two())
 
-        # Bit-exact restore of the manifested generation.
+        # Bit-exact restore of the saved generation.
         assert resumed_estimate == estimate_a
         assert stats["checkpoint"]["generation"] >= 1
         assert stats["tenants"] == 1
@@ -249,7 +249,7 @@ def test_retrying_client_reconnects_through_restart(tmp_path):
                 await client.checkpoint()
 
         asyncio.run(warm_up())
-        stop_server(server)  # graceful: final generation manifested
+        stop_server(server)  # graceful: final generation saved
 
         second = start_server(tmp_path, port, resume=True, faults=None)
 
