@@ -1,66 +1,44 @@
 """Atomic on-disk snapshots of estimators and shard pools.
 
-Checkpoint files wrap the estimators' own ``to_bytes`` serialization,
-and the caller's metadata, in a small versioned container (version 2)::
+A checkpoint file is one :mod:`repro.wire.frame` envelope, raw codec:
+the estimator's ``to_bytes`` payload plus the caller's metadata (the
+stream offset a resume needs) under one CRC. :func:`save` writes the
+head, the payload and the CRC as separate parts, so no joined copy of
+the payload is built. :func:`read` parses with the frame's parser,
+bounded by the file's own size rather than the wire's
+``MAX_RAW_BYTES``: a large pool's checkpoint outgrows the latter.
+Every failure is a ``ValueError``.
 
-    magic "RPCK" | u16 version | u8 class-name length | class name
-    | u32 meta length | meta (canonical JSON object)
-    | u64 payload length | payload | u32 CRC-32 of every preceding byte
-
-One file therefore publishes a state together with what a resume needs
-to know about it (the stream offset it was taken at). :func:`save`
-writes the head, the payload and the CRC as separate parts under one
-running CRC, so no joined copy of the payload is ever built.
-
-Files are written **atomically and durably**: the bytes go to a temporary
-file in the target directory (re-chmodded from ``mkstemp``'s private
-0600 to honor the process umask, like a plain ``open()`` would), are
-flushed and fsynced, the file is then renamed over the destination with
-``os.replace``, and finally the containing directory is fsynced so the
-rename itself survives a crash (pass ``sync_directory=False`` to skip
-that last step in tests). A crash mid-checkpoint leaves the previous
-checkpoint intact; a crash *before* the rename can orphan a
-``.checkpoint-*`` temp file, which
+Files are written **atomically and durably**: to a temporary file in
+the target directory (widened from ``mkstemp``'s 0600 to what the umask
+allows), fsynced, renamed over the destination with ``os.replace``,
+then the directory is fsynced (``sync_directory=False`` skips that in
+tests). A crash leaves the previous checkpoint intact, at worst with an
+orphaned ``.checkpoint-*`` temp file that
 :class:`~repro.engine.recovery.CheckpointManager` sweeps at startup.
 Both crash windows carry :mod:`repro.testing.faults` failpoints
-(``checkpoint.pre-fsync``, ``checkpoint.post-replace``) so the
-fault-injection suite can prove those guarantees.
-
-Validation at load time is **strict**: a torn, corrupted, or padded
-file is rejected rather than deserialized into a silently-wrong
-estimator. The container enforces exact framing — every length-prefixed
-field must be complete and the file must end exactly at the CRC — then
-checks the CRC, and only then parses the metadata, which must be a
-UTF-8 JSON object. Every failure is a ``ValueError``; version-1 files
-(which kept their metadata elsewhere) are refused as unsupported.
+(``checkpoint.pre-fsync``, ``checkpoint.post-replace``).
 
 When observability is enabled (:mod:`repro.obs`), saves and loads
 record byte counters and duration histograms
 (``repro_checkpoint_{save,load}_{bytes_total,seconds}``).
 
-:func:`save` / :func:`read` / :func:`load` work for every class
-:func:`~repro.estimators.registry.sketch_registry` accepts at its
-``"checkpoint"`` scope: the serializable estimators, the
-:class:`~repro.engine.shards.ShardPool` (whose payload nests the
-per-shard blobs) and the serving layer's ``TenantRegistry``. Restoring
-yields an estimator that continues ingesting exactly as the
-uninterrupted original would — the stateful engine test drives
-interleaved ingest/checkpoint/restore cycles to prove it.
+Every class :func:`~repro.estimators.registry.sketch_registry` accepts
+at its ``"checkpoint"`` scope can be saved: the serializable
+estimators, :class:`~repro.engine.shards.ShardPool` and the serving
+layer's ``TenantRegistry``. Restoring yields an estimator that
+continues ingesting exactly as the uninterrupted original would.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import struct
 import tempfile
 import time
-import zlib
-from typing import Any, cast
+from typing import Any
 
 from repro.estimators.base import CardinalityEstimator
 from repro.estimators.registry import sketch_registry
-from repro.framing import require_consumed, take, unpack_header
 from repro.obs.metrics import get_registry
 from repro.testing.faults import fire
 
@@ -68,14 +46,6 @@ from repro.testing.faults import fire
 #: rename. Recovery's orphan sweep keys on it
 #: (:meth:`repro.engine.recovery.CheckpointManager.sweep_orphans`).
 TEMP_PREFIX = ".checkpoint-"
-
-_HEADER = struct.Struct("<4sHB")  # magic, version, class-name length
-_META_LENGTH = struct.Struct("<I")
-_PAYLOAD_LENGTH = struct.Struct("<Q")
-_CRC = struct.Struct("<I")
-_MAGIC = b"RPCK"
-_VERSION = 2
-_WHAT = "checkpoint"
 
 
 def _current_umask() -> int:
@@ -136,21 +106,12 @@ def save(
             f"{class_name} is not checkpointable (not registered for "
             "checkpoints)"
         )
-    meta_bytes = json.dumps(
-        dict(meta or {}), sort_keys=True, separators=(",", ":")
-    ).encode("ascii")
+    # Loaded on first use: imported with this module, the wire stack loads
+    # ahead of `repro serve`'s own imports and boots it ~64 KiB larger.
+    from repro.wire.frame import CODEC_RAW, envelope
+
     payload = estimator.to_bytes()
-    name_bytes = class_name.encode("ascii")
-    head = b"".join(
-        (
-            _HEADER.pack(_MAGIC, _VERSION, len(name_bytes)),
-            name_bytes,
-            _META_LENGTH.pack(len(meta_bytes)),
-            meta_bytes,
-            _PAYLOAD_LENGTH.pack(len(payload)),
-        )
-    )
-    crc = _CRC.pack(zlib.crc32(payload, zlib.crc32(head)))
+    head, crc = envelope(class_name, CODEC_RAW, len(payload), payload, meta)
     written = len(head) + len(payload) + len(crc)
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
@@ -199,35 +160,17 @@ def read(
 ) -> tuple[CardinalityEstimator, dict[str, Any]]:
     """Load, validate and restore a checkpoint; returns (estimator, meta).
 
-    Raises ``ValueError`` for anything that is not a complete, intact
-    checkpoint: wrong magic, unknown version or class, truncation,
-    trailing bytes after the CRC, a CRC mismatch, or metadata that is
-    not a UTF-8 JSON object.
+    Raises ``ValueError`` for any file the frame's strict parser or the
+    payload's ``from_bytes`` refuses (see :mod:`repro.wire.frame`).
     """
     obs = get_registry()
     began = time.perf_counter() if obs.enabled else 0.0
     with open(os.fspath(path), "rb") as handle:
         data = handle.read()
-    magic, version, name_length = unpack_header(_HEADER, data, _WHAT)
-    if magic != _MAGIC:
-        raise ValueError("not a checkpoint file: bad magic")
-    if version != _VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    name, offset = take(data, _HEADER.size, name_length, _WHAT, "class name")
-    meta_bytes, offset = _take_prefixed(data, offset, _META_LENGTH, "meta")
-    payload, offset = _take_prefixed(data, offset, _PAYLOAD_LENGTH, "body")
-    crc, end = take(data, offset, _CRC.size, _WHAT, "CRC")
-    require_consumed(data, end, _WHAT)
-    if zlib.crc32(memoryview(data)[:offset]) != _CRC.unpack(crc)[0]:
-        raise ValueError("corrupt checkpoint: CRC mismatch")
-    meta = _decode_meta(meta_bytes)
-    class_name = name.decode("ascii")
-    cls = sketch_registry("checkpoint").get(class_name)
-    if cls is None:
-        raise ValueError(f"unknown checkpoint class {class_name!r}")
-    # A TenantRegistry has the same to_bytes/from_bytes surface without
-    # subclassing the estimator base.
-    estimator = cast(CardinalityEstimator, cls.from_bytes(payload))
+    from repro.wire.frame import parse
+
+    frame = parse(data, max_raw=len(data))
+    estimator = frame.restore("checkpoint")
     if obs.enabled:
         obs.counter(
             "repro_checkpoint_load_bytes_total",
@@ -237,32 +180,10 @@ def read(
             "repro_checkpoint_load_seconds",
             "Wall time of one checkpoint load()",
         ).observe(time.perf_counter() - began)
-    return estimator, meta
+    return estimator, frame.meta
 
 
 def load(path: str | os.PathLike[str]) -> CardinalityEstimator:
     """The estimator of :func:`read`, without its metadata."""
     return read(path)[0]
 
-
-def _take_prefixed(
-    data: bytes, offset: int, prefix: struct.Struct, field: str
-) -> tuple[bytes, int]:
-    """Slice a field preceded by its length; return (bytes, end)."""
-    raw, offset = take(data, offset, prefix.size, _WHAT, f"{field} length")
-    (size,) = prefix.unpack(raw)
-    return take(data, offset, size, _WHAT, field)
-
-
-def _decode_meta(meta_bytes: bytes) -> dict[str, Any]:
-    """The metadata object; ``ValueError`` for anything else."""
-    try:
-        meta = json.loads(meta_bytes.decode("utf-8"))
-    except RecursionError:
-        raise ValueError("corrupt checkpoint: meta nests too deeply") from None
-    if not isinstance(meta, dict):
-        raise ValueError(
-            f"corrupt checkpoint: meta is a {type(meta).__name__}, "
-            "not a JSON object"
-        )
-    return meta

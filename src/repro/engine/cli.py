@@ -44,7 +44,7 @@ import time
 
 from repro.engine.checkpoint import load, save
 from repro.engine.pipeline import DEFAULT_CHUNK, IngestPipeline
-from repro.engine.recovery import CheckpointManager, RecoveryError
+from repro.engine.recovery import CheckpointManager, Generation, RecoveryError
 from repro.engine.shards import ShardPool
 from repro.estimators.registry import ALL_ESTIMATORS
 from repro.streams import distinct_items, stream_with_duplicates
@@ -191,31 +191,39 @@ def _run(args: "argparse.Namespace") -> int:
     from repro.bench.reporting import format_table
 
     manager = None
+    resumed: Generation | None = None
     skip = 0
     if args.checkpoint_dir:
         manager = CheckpointManager(args.checkpoint_dir, keep=args.keep)
 
+    length = int(round(args.items * args.duplication))
+    if length > args.items:
+        stream = stream_with_duplicates(
+            args.items, length, seed=args.seed + 1
+        )
+    else:
+        stream = distinct_items(args.items, seed=args.seed + 1)
     if args.resume:
         assert manager is not None  # --resume requires --checkpoint-dir
         try:
-            pool, generation = manager.load_latest()
+            pool, resumed = manager.load_latest()
         except RecoveryError as exc:
             raise SystemExit(f"cannot resume from {args.checkpoint_dir}: {exc}")
         if not isinstance(pool, ShardPool):
             raise SystemExit(
-                f"generation {generation.generation} holds a "
+                f"generation {resumed.generation} holds a "
                 f"{type(pool).__name__}, not a ShardPool"
             )
-        skip = generation.meta.get("records_ingested")
+        skip = resumed.meta.get("records_ingested")
         # bool is an int subclass: a saved true is not offset 1.
-        if type(skip) is not int or skip < 0:
+        if type(skip) is not int or not 0 <= skip <= stream.size:
             raise SystemExit(
                 f"cannot resume from {args.checkpoint_dir}: generation "
-                f"{generation.generation} has records_ingested={skip!r}, "
-                "not a non-negative integer"
+                f"{resumed.generation} has records_ingested={skip!r}, not "
+                f"an offset into this run's {stream.size}-record stream"
             )
         print(
-            f"resumed generation {generation.generation} from "
+            f"resumed generation {resumed.generation} from "
             f"{args.checkpoint_dir} (records already ingested: {skip})"
         )
     elif args.restore:
@@ -238,18 +246,10 @@ def _run(args: "argparse.Namespace") -> int:
             seed=args.seed,
         )
 
-    length = int(round(args.items * args.duplication))
-    if length > args.items:
-        stream = stream_with_duplicates(
-            args.items, length, seed=args.seed + 1
-        )
-    else:
-        stream = distinct_items(args.items, seed=args.seed + 1)
     if skip:
         # The stream is deterministic in (--items, --duplication,
         # --seed): dropping the already-checkpointed prefix replays
         # exactly the records the interrupted run lost.
-        skip = min(skip, stream.size)
         stream = stream[skip:]
 
     baseline = pool.query()  # non-zero after a --restore / --resume
@@ -282,11 +282,14 @@ def _run(args: "argparse.Namespace") -> int:
         elapsed = time.perf_counter() - start
         estimate = pool.query()
         if manager is not None:
-            final = pipeline.checkpoint_now()
+            # A periodic or resumed generation may already hold it all.
+            final = pipeline.last_generation or resumed
+            ingested = skip + pipeline.records_submitted
+            if final is None or final.meta["records_ingested"] != ingested:
+                final = pipeline.checkpoint_now()
             print(
-                f"checkpointed generation {final.generation} to "
-                f"{args.checkpoint_dir} "
-                f"(records ingested: {final.meta['records_ingested']})"
+                f"final state in checkpointed generation {final.generation} "
+                f"of {args.checkpoint_dir} (records ingested: {ingested})"
             )
 
     records_per_second = stream.size / elapsed if elapsed > 0 else float("inf")

@@ -144,6 +144,8 @@ class IngestPipeline:
         #: Optional ``() -> dict`` hook merged into every periodic
         #: checkpoint's metadata (e.g. an absolute stream offset).
         self.checkpoint_meta: Callable[[], dict[str, Any]] | None = None
+        #: The newest generation this pipeline wrote, or ``None``.
+        self.last_generation: "Generation | None" = None
         # One condition for all shared state and every shard write;
         # a chunk takes it once. Producers may be an executor pool, so
         # unsynchronized += would lose updates. The pool's routing-hash
@@ -366,6 +368,7 @@ class IngestPipeline:
         generation = self.checkpoint_manager.save(self.pool, meta=merged)
         with self._lock:
             self._records_since_checkpoint = 0
+            self.last_generation = generation
         return generation
 
     def drain(self) -> None:

@@ -27,7 +27,10 @@ The pool is itself a :class:`~repro.estimators.base.CardinalityEstimator`
 and honours the full library contract (scalar ≡ batch bit-for-bit,
 duplicate insensitivity, serialization round-trips, instrumentation
 counters), so it composes with the harness, the windowing sketches and
-the checkpoint layer like any other estimator.
+the checkpoint layer like any other estimator. Its byte image (version
+2) ends with :mod:`repro.framing`'s list of (class name, shard blob)::
+
+    magic "POOL" | u16 version | u64 partition seed | (name, blob) list
 """
 
 from __future__ import annotations
@@ -38,14 +41,13 @@ from typing import Callable
 from repro.estimators.base import CardinalityEstimator
 from repro.estimators.registry import make_estimator, register, sketch_registry
 from repro.engine.partition import Partitioner
-from repro.framing import require_consumed, take, unpack_header
+from repro.framing import pack_entries, read_entries, unpack_header
 from repro.kernels import HashPlane
 from repro.kernels.plane import PlaneRequest
 
-_HEADER = struct.Struct("<4sHIQ")  # magic, version, num_shards, seed
-_SHARD_HEADER = struct.Struct("<BQ")  # class-name length, payload length
+_HEADER = struct.Struct("<4sHQ")  # magic, version, partition seed
 _MAGIC = b"POOL"
-_VERSION = 1
+_VERSION = 2
 
 
 @register("wire")
@@ -259,16 +261,13 @@ class ShardPool(CardinalityEstimator):
 
     def to_bytes(self) -> bytes:
         """Serialize the whole pool (versioned header + shard blobs)."""
-        parts = [
-            _HEADER.pack(_MAGIC, _VERSION, self.num_shards, self.seed)
-        ]
-        for shard in self.shards:
-            blob = shard.to_bytes()
-            class_name = type(shard).__name__.encode("ascii")
-            parts.append(_SHARD_HEADER.pack(len(class_name), len(blob)))
-            parts.append(class_name)
-            parts.append(blob)
-        return b"".join(parts)
+        return pack_entries(
+            _HEADER.pack(_MAGIC, _VERSION, self.seed),
+            [
+                (type(shard).__name__.encode("ascii"), shard.to_bytes())
+                for shard in self.shards
+            ],
+        )
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ShardPool":
@@ -277,33 +276,26 @@ class ShardPool(CardinalityEstimator):
         Each shard blob fully encodes its own configuration, so no
         factory is needed; shard classes resolve through
         :func:`~repro.estimators.registry.sketch_registry`. Framing is
-        strict: a truncated shard header, class name or blob — and any
-        trailing bytes after the last shard — raise ``ValueError``.
+        strict: a truncated shard name or blob — and any trailing bytes
+        after the last shard — raise ``ValueError``.
         """
         what = "ShardPool"
-        magic, version, num_shards, seed = unpack_header(_HEADER, data, what)
+        magic, version, seed = unpack_header(_HEADER, data, what)
         if magic != _MAGIC:
             raise ValueError("not a serialized ShardPool")
         if version != _VERSION:
             raise ValueError(f"unsupported ShardPool version {version}")
         registry = sketch_registry("shard")
         shards: list[CardinalityEstimator] = []
-        offset = _HEADER.size
-        for __ in range(num_shards):
-            head, offset = take(
-                data, offset, _SHARD_HEADER.size, what, "shard header"
-            )
-            name_len, blob_len = _SHARD_HEADER.unpack(head)
-            name, offset = take(data, offset, name_len, what, "shard class name")
-            blob, offset = take(data, offset, blob_len, what, "shard")
-            class_name = name.decode("ascii")
+        __, entries = read_entries(data, _HEADER.size, what, "shard")
+        for name, blob in entries:
+            class_name = str(name, "ascii")
             shard_cls = registry.get(class_name)
             if shard_cls is None:
                 raise ValueError(f"unknown shard estimator {class_name!r}")
             shards.append(shard_cls.from_bytes(blob))
-        require_consumed(data, offset, what)
         iterator = iter(shards)
-        return cls(lambda __: next(iterator), num_shards, seed=seed)
+        return cls(lambda __: next(iterator), len(shards), seed=seed)
 
     def __repr__(self) -> str:
         kinds = {type(shard).__name__ for shard in self.shards}

@@ -15,12 +15,12 @@ The registry serializes with the same strict-framing discipline as the
 estimators (through :mod:`repro.framing`) and is registered for
 checkpoints (:func:`repro.estimators.registry.register`), so the whole
 multi-tenant state rides one atomic
-:class:`~repro.engine.recovery.CheckpointManager` generation::
+:class:`~repro.engine.recovery.CheckpointManager` generation. The
+tenants are :mod:`repro.framing`'s (name, blob) list of (UTF-8 tenant
+name, ``ShardPool`` blob)::
 
     magic "RPTR" | u16 version | u32 config-JSON length | config JSON
-    | u32 tenant count
-    | per tenant, sorted by utf-8 name:
-        u16 name length | name | u64 blob length | ShardPool blob
+    | (name, blob) list, sorted by name bytes
 
 Tenants are sorted by encoded name, making the byte image a canonical
 function of the logical state (dict insertion order cannot leak in);
@@ -40,14 +40,11 @@ from dataclasses import asdict, dataclass
 from repro.engine.shards import ShardPool
 from repro.estimators.base import CardinalityEstimator
 from repro.estimators.registry import register
-from repro.framing import require_consumed, take, unpack_header
+from repro.framing import json_object, pack_entries, read_entries, take, unpack_header
 
 __all__ = ["TenantConfig", "TenantLimitError", "TenantRegistry"]
 
 _HEADER = struct.Struct("<4sHI")  # magic, version, config length
-_COUNT = struct.Struct("<I")
-_NAME = struct.Struct("<H")
-_BLOB = struct.Struct("<Q")
 _MAGIC = b"RPTR"
 _VERSION = 1
 
@@ -240,19 +237,11 @@ class TenantRegistry:
         for name, pool in list(self.pools.items()):  # the tenants, once
             blobs[name] = pool.to_bytes()
         config_raw = self.config.canonical_json().encode("utf-8")
-        parts = [
-            _HEADER.pack(_MAGIC, _VERSION, len(config_raw)),
-            config_raw,
-            _COUNT.pack(len(blobs)),
-        ]
-        for name in sorted(blobs, key=lambda tenant: tenant.encode("utf-8")):
-            name_raw = name.encode("utf-8")
-            blob = blobs[name]
-            parts.append(_NAME.pack(len(name_raw)))
-            parts.append(name_raw)
-            parts.append(_BLOB.pack(len(blob)))
-            parts.append(blob)
-        return b"".join(parts)
+        return pack_entries(
+            _HEADER.pack(_MAGIC, _VERSION, len(config_raw)) + config_raw,
+            # Names are distinct, so pairs sort by name alone.
+            sorted([(name.encode("utf-8"), blob) for name, blob in blobs.items()]),
+        )
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "TenantRegistry":
@@ -267,13 +256,12 @@ class TenantRegistry:
             )
         config_raw, offset = take(data, _HEADER.size, config_length, what, "config")
         try:
-            config = TenantConfig(**json.loads(config_raw.decode("utf-8")))
+            config = TenantConfig(**json_object(config_raw, what, "config"))
         except (TypeError, ValueError) as error:
             raise ValueError(
                 "corrupt tenant registry: bad config JSON"
             ) from error
-        raw, offset = take(data, offset, _COUNT.size, what, "tenant count")
-        (count,) = _COUNT.unpack(raw)
+        count, entries = read_entries(data, offset, what, "tenant")
         if count > config.max_tenants:
             raise ValueError(
                 f"corrupt tenant registry: {count} tenants exceed "
@@ -282,24 +270,16 @@ class TenantRegistry:
         registry = cls(config)
         built: ShardPool | None = None
         previous: bytes | None = None
-        for __ in range(count):
-            raw, offset = take(data, offset, _NAME.size, what, "name length")
-            name_raw, offset = take(
-                data, offset, _NAME.unpack(raw)[0], what, "tenant name"
-            )
-            if previous is not None and name_raw <= previous:
+        for name_raw, blob in entries:
+            name_bytes = bytes(name_raw)
+            if previous is not None and name_bytes <= previous:
                 # Canonical order doubles as a duplicate check.
                 raise ValueError(
                     "corrupt tenant registry: tenants out of order"
                 )
-            previous = name_raw
-            raw, offset = take(data, offset, _BLOB.size, what, "pool length")
-            blob, offset = take(
-                data, offset, _BLOB.unpack(raw)[0], what, "pool blob"
-            )
-            name = name_raw.decode("utf-8")
+            previous = name_bytes
+            name = str(name_raw, "utf-8")
             pool = ShardPool.from_bytes(blob)
             built = _check_built_by(config, name, pool, built)
             registry.pools[name] = pool
-        require_consumed(data, offset, what)
         return registry

@@ -6,9 +6,12 @@ re-encodes it and requires identical bytes, and it rebuilds every
 recipe and requires the same bytes again, so any change to a byte
 format or a sizing rule fails loudly.
 
-The committed file was written by the code as it stood before sketch
-state was declared in one table per class. Rewrite it only for a
-deliberate format change::
+The ``to_bytes``, ``factory`` and ``merge_keys`` entries were written by
+the code as it stood before sketch state was declared in one table per
+class; the envelope keys (``wire``, ``pool``, ``tenants``,
+``checkpoint``) were rewritten when a checkpoint became a wire frame
+with a meta field. Rewrite the file only for a deliberate format
+change::
 
     PYTHONPATH=src python tests/golden_cases.py
 """

@@ -228,20 +228,12 @@ def test_merge_in_errors_keep_connection_alive():
     assert results["accepted"] == 256
 
 
-def _raw_frame(class_name: bytes, payload: bytes) -> bytes:
+def _raw_frame(class_name: str, payload: bytes) -> bytes:
     """A raw-codec frame with a valid CRC around any payload."""
-    import struct
-    import zlib
+    from repro.wire.frame import CODEC_RAW, envelope
 
-    from repro.wire.frame import _HEAD, CODEC_RAW, MAGIC, VERSION
-
-    body = (
-        _HEAD.pack(MAGIC, VERSION, CODEC_RAW, len(class_name))
-        + class_name
-        + struct.pack("<II", len(payload), len(payload))
-        + payload
-    )
-    return body + struct.pack("<I", zlib.crc32(body))
+    head, crc = envelope(class_name, CODEC_RAW, len(payload), payload)
+    return head + payload + crc
 
 
 def test_merge_in_oversized_claims_are_bad_payloads():
@@ -253,11 +245,11 @@ def test_merge_in_oversized_claims_are_bad_payloads():
 
     hostile = {
         "hll": _raw_frame(
-            b"HyperLogLog", b"HLL1" + struct.pack("<QQ", 2**40, 0)
+            "HyperLogLog", b"HLL1" + struct.pack("<QQ", 2**40, 0)
         ),
         # A well-formed body, so decoding reaches the constructor.
         "smb": _raw_frame(
-            b"SelfMorphingBitmap",
+            "SelfMorphingBitmap",
             b"SMB1" + struct.pack("<QQQQQ", 10_000, 9, 0, 0, 0)
             + BitVector(10_000).to_bytes(),
         ),

@@ -7,8 +7,10 @@ machine in ``test_engine_stateful.py``; the accuracy claim is pinned in
 """
 
 import os
+import struct
 import threading
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from repro import (
 )
 from repro.engine import checkpoint
 from repro.streams import distinct_items
+from repro.wire import decode_sketch, frame
 
 
 def smb_pool(num_shards=4, seed=0, m=1000, t=100):
@@ -421,14 +424,14 @@ class TestEngineCli:
         assert main([
             "engine", "--shards", "2", "--items", "6000",
             "--memory-bits", "6000", "--checkpoint-dir", directory,
-            "--checkpoint-every", "2000", "--keep", "2",
+            "--checkpoint-every", "2000", "--keep", "2", "--chunk", "1000",
         ]) == 0
         out = capsys.readouterr().out
-        assert "checkpointed generation" in out
+        assert "final state in checkpointed generation 3 of" in out
         manager = CheckpointManager(directory, sync_directory=False)
         generations = manager.generations()
-        assert len(generations) == 2  # keep applied
-        assert generations[-1].meta["records_ingested"] == 6000
+        # keep applied, and the periodic save at 6000 is the final one
+        assert [g.meta["records_ingested"] for g in generations] == [4000, 6000]
 
         # Resuming a *finished* run ingests nothing and keeps the
         # estimate (the stream prefix is already checkpointed).
@@ -440,6 +443,50 @@ class TestEngineCli:
         out = capsys.readouterr().out
         assert "resumed generation" in out
         assert "records already ingested: 6000" in out
+
+    def test_final_state_is_saved_once(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.engine.recovery import CheckpointManager
+
+        periodic = str(tmp_path / "periodic")
+        assert main([
+            "engine", "--shards", "2", "--items", "6000",
+            "--checkpoint-dir", periodic, "--checkpoint-every", "2000",
+        ]) == 0
+        assert "final state in checkpointed generation 1 of" in (
+            capsys.readouterr().out
+        )
+        generations = CheckpointManager(periodic).generations()
+        assert [g.meta["records_ingested"] for g in generations] == [6000]
+        # With no periodic save, the final one is still written.
+        final_only = str(tmp_path / "final-only")
+        assert main([
+            "engine", "--shards", "2", "--items", "3000",
+            "--checkpoint-dir", final_only,
+        ]) == 0
+        generations = CheckpointManager(final_only).generations()
+        assert [g.meta["records_ingested"] for g in generations] == [3000]
+
+    def test_resume_refuses_an_offset_past_the_stream(self, tmp_path):
+        from repro.cli import main
+        from repro.engine.recovery import CheckpointManager
+
+        directory = str(tmp_path / "ckpts")
+        assert main([
+            "engine", "--shards", "2", "--items", "6000",
+            "--checkpoint-dir", directory,
+        ]) == 0
+        with pytest.raises(
+            SystemExit,
+            match="cannot resume from .*ckpts: .*=6000, .* 3000-record",
+        ):
+            main([
+                "engine", "--shards", "2", "--items", "3000",
+                "--checkpoint-dir", directory, "--resume",
+            ])
+        # Nothing was saved over the refused offset.
+        generations = CheckpointManager(directory).generations()
+        assert [g.meta["records_ingested"] for g in generations] == [6000]
 
     @pytest.mark.parametrize(
         "offset", ["many", -5, True], ids=["string", "negative", "bool"]
@@ -529,8 +576,31 @@ class TestPipelineFailure:
         assert pipe.records_dropped == 0
 
 
+def _rpck_v2(sketch) -> bytes:
+    """``sketch`` in the container checkpoints had before they were frames."""
+    name = type(sketch).__name__.encode("ascii")
+    payload = sketch.to_bytes()
+    body = (
+        b"RPCK" + struct.pack("<HB", 2, len(name)) + name
+        + struct.pack("<I", 2) + b"{}" + struct.pack("<Q", len(payload))
+        + payload
+    )
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _rwf1_v1(sketch) -> bytes:
+    """``sketch`` in the raw-codec wire frame that had no meta field."""
+    name = type(sketch).__name__.encode("ascii")
+    payload = sketch.to_bytes()
+    body = (
+        b"RWF1" + struct.pack("<BBH", 1, 0, len(name)) + name
+        + struct.pack("<II", len(payload), len(payload)) + payload
+    )
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 class TestCheckpointStrictness:
-    """Strict framing and durability of the checkpoint container."""
+    """Strict framing and durability of the checkpoint file: a frame."""
 
     def test_trailing_bytes_rejected(self, tmp_path):
         pool = smb_pool(num_shards=2)
@@ -546,13 +616,9 @@ class TestCheckpointStrictness:
 
     def test_truncated_class_name_rejected(self, tmp_path):
         # Empty meta and payload follow a name that claims 200 bytes.
-        rest = b"\x00" * (
-            checkpoint._META_LENGTH.size
-            + checkpoint._PAYLOAD_LENGTH.size
-            + checkpoint._CRC.size
-        )
-        bad = checkpoint._HEADER.pack(
-            checkpoint._MAGIC, checkpoint._VERSION, 200
+        rest = bytes(frame._META_LENGTH.size + frame._LENGTHS.size + frame._CRC.size)
+        bad = frame._HEAD.pack(
+            frame.MAGIC, frame.VERSION, frame.CODEC_RAW, 200
         ) + b"Short" + rest
         path = tmp_path / "badname.ckpt"
         path.write_bytes(bad)
@@ -574,10 +640,40 @@ class TestCheckpointStrictness:
     def test_version_1_container_refused(self, tmp_path):
         path = tmp_path / "v1.ckpt"
         path.write_bytes(
-            checkpoint._HEADER.pack(checkpoint._MAGIC, 1, 0) + b"\x00" * 12
+            frame._HEAD.pack(frame.MAGIC, 1, frame.CODEC_RAW, 0) + bytes(24)
         )
-        with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+        with pytest.raises(ValueError, match="unsupported frame version 1"):
             checkpoint.load(path)
+
+    @pytest.mark.parametrize(
+        "old_format, refusal",
+        [(_rpck_v2, "bad magic"), (_rwf1_v1, "unsupported frame version 1")],
+        ids=["rpck-v2-checkpoint", "rwf1-v1-frame"],
+    )
+    def test_older_formats_refused(self, tmp_path, old_format, refusal):
+        pool = smb_pool(num_shards=2)
+        pool.record_many(distinct_items(300, seed=44))
+        data = old_format(pool)
+        path = tmp_path / "old.rpck"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=refusal):
+            checkpoint.read(path)
+        with pytest.raises(ValueError, match=refusal):
+            decode_sketch(data)
+
+    def test_file_is_bounded_by_its_own_size(self, tmp_path, monkeypatch):
+        pool = smb_pool(num_shards=2)
+        pool.record_many(distinct_items(300, seed=45))
+        monkeypatch.setattr(frame, "MAX_RAW_BYTES", 64)
+        assert len(pool.to_bytes()) > frame.MAX_RAW_BYTES
+        path = tmp_path / "pool.rpck"
+        checkpoint.save(pool, path, {"records_ingested": 300})
+        restored, meta = checkpoint.read(path)
+        assert restored.to_bytes() == pool.to_bytes()
+        assert meta == {"records_ingested": 300}
+        # The same state, as the same bytes, is too large for the wire.
+        with pytest.raises(ValueError, match="64-byte limit"):
+            decode_sketch(path.read_bytes())
 
     def test_meta_round_trips(self, tmp_path):
         pool = smb_pool(num_shards=2)
@@ -599,14 +695,13 @@ class TestCheckpointStrictness:
             ShardPool.from_bytes(data + b"X")
 
     def test_pool_payload_truncated_name_rejected(self):
-        import struct as _struct
-
+        from repro import framing
         from repro.engine import shards as shards_module
 
         data = shards_module._HEADER.pack(
-            shards_module._MAGIC, shards_module._VERSION, 1, 0
-        ) + shards_module._SHARD_HEADER.pack(50, 10) + b"abc"
-        with pytest.raises(ValueError, match="truncated shard class name"):
+            shards_module._MAGIC, shards_module._VERSION, 0
+        ) + framing._COUNT.pack(1) + framing._NAME.pack(50) + b"abc"
+        with pytest.raises(ValueError, match="truncated shard name"):
             ShardPool.from_bytes(data)
 
     def test_crash_before_replace_leaves_previous_loadable(

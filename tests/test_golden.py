@@ -1,9 +1,10 @@
 """Golden byte fixtures: every format and sizing rule stays byte-identical.
 
-``tests/golden/golden.json`` was written by ``tests/golden_cases.py``
-with the code as it stood before sketch state was declared once per
-class. Each fixture must decode, re-encode to the same bytes, and come
-out of its recipe byte-for-byte again.
+``tests/golden/golden.json`` was written by ``tests/golden_cases.py``:
+the sketch images with the code as it stood before sketch state was
+declared once per class, the envelope keys when a checkpoint became a
+wire frame. Each fixture must decode, re-encode to the same bytes, and
+come out of its recipe byte-for-byte again.
 """
 
 import json

@@ -45,8 +45,8 @@ from repro.estimators.registry import sketch_registry
 from repro.estimators.state import BITMAP, REGISTERS
 from repro.serve.tenants import TenantConfig, TenantRegistry
 from repro.streams import distinct_items
-from repro.wire import MAX_RAW_BYTES, decode_sketch, encode_sketch
-from repro.wire.frame import CODEC_RAW
+from repro.wire import MAX_RAW_BYTES, decode_sketch, encode_sketch, frame_info
+from repro.wire.frame import CODEC_HUFFMAN, CODEC_RAW, CODEC_ZRLE, MAX_META_BYTES
 
 
 def _calibrated_refined():
@@ -317,17 +317,26 @@ def _sketch_fields(sketch, base=0):
     return fields
 
 
-def _pool_fields(pool, base=0):
-    data = pool.to_bytes()
-    fields = [(base + 6, "<I")]
-    offset = 18
-    for index, shard in enumerate(pool.shards):
-        name_len, blob_len = struct.unpack_from("<BQ", data, offset)
-        fields += [(base + offset, "<B"), (base + offset + 1, "<Q")]
+def _list_fields(data, offset, base, first):
+    """A (name, blob) list's count and lengths; ``first(at)`` gives the
+    fields nested in its first blob, which starts at ``at``."""
+    (count,) = struct.unpack_from("<I", data, offset)
+    fields = [(base + offset, "<I")]
+    offset += 4
+    for index in range(count):
+        (name_len,) = struct.unpack_from("<H", data, offset)
+        length_at = offset + 2 + name_len
+        fields += [(base + offset, "<H"), (base + length_at, "<Q")]
         if index == 0:
-            fields += _sketch_fields(shard, base + offset + 9 + name_len)
-        offset += 9 + name_len + blob_len
+            fields += first(base + length_at + 8)
+        offset = length_at + 8 + struct.unpack_from("<Q", data, length_at)[0]
     return fields
+
+
+def _pool_fields(pool, base=0):
+    return _list_fields(
+        pool.to_bytes(), 14, base, lambda at: _sketch_fields(pool.shards[0], at)
+    )
 
 
 @dataclass
@@ -366,16 +375,10 @@ def _small_registry():
 def _registry_fields(registry):
     data = registry.to_bytes()
     (config_len,) = struct.unpack_from("<I", data, 6)
-    offset = 10 + config_len
-    fields = [(6, "<I"), (offset, "<I")]
-    offset += 4
-    for index, name in enumerate(registry.tenants()):
-        name_end = offset + 2 + len(name.encode("utf-8"))
-        fields += [(offset, "<H"), (name_end, "<Q")]
-        if index == 0:
-            fields += _pool_fields(registry.pools[name], name_end + 8)
-        offset = name_end + 8 + struct.unpack_from("<Q", data, name_end)[0]
-    return fields
+    first = registry.pools[registry.tenants()[0]]
+    return [(6, "<I")] + _list_fields(
+        data, 10 + config_len, 0, lambda at: _pool_fields(first, at)
+    )
 
 
 def _checkpoint_body(sketch) -> bytes:
@@ -388,10 +391,28 @@ def _checkpoint_body(sketch) -> bytes:
         return path.read_bytes()[:-4]
 
 
-def _checkpoint_meta_at(body) -> tuple[int, int]:
-    """Offset of a checkpoint's meta length field, and the meta length."""
-    meta_at = 7 + body[6]
-    return meta_at, struct.unpack_from("<I", body, meta_at)[0]
+def _envelope_fields(body):
+    """(offset, struct format) of a frame's fields, by name; the blob
+    starts right after ``"blob length"``."""
+    (name_len,) = struct.unpack_from("<H", body, 6)
+    meta_at = 8 + name_len
+    lengths_at = meta_at + 4 + struct.unpack_from("<I", body, meta_at)[0]
+    fields = {
+        "name length": (6, "<H"),
+        "meta length": (meta_at, "<I"),
+        "raw length": (lengths_at, "<Q"),
+        "blob length": (lengths_at + 8, "<Q"),
+    }
+    blob = lengths_at + 16
+    if body[5] == CODEC_HUFFMAN:  # u32 n, u16 nsyms
+        fields.update(huffman_n=(blob, "<I"), huffman_nsyms=(blob + 4, "<H"))
+    elif body[5] == CODEC_ZRLE:  # u32 n
+        fields.update(zrle_n=(blob, "<I"))
+    return fields
+
+
+def _blob_at(fields):
+    return fields["blob length"][0] + 8
 
 
 def _load_checkpoint(data):
@@ -401,35 +422,17 @@ def _load_checkpoint(data):
         return checkpoint.load(path)
 
 
-def _frame_body(sketch, codec=None):
-    return encode_sketch(sketch, codec=codec)[:-4]
-
-
-def _frame_fields(body):
-    (name_len,) = struct.unpack_from("<H", body, 6)
-    blob = 16 + name_len
-    fields = [(6, "<H"), (8 + name_len, "<I"), (12 + name_len, "<I")]
-    codec = body[5]
-    if codec == 1:  # Huffman: u32 n, u16 nsyms
-        fields += [(blob, "<I"), (blob + 4, "<H")]
-    elif codec == 2:  # zero-RLE: u32 n
-        fields += [(blob, "<I")]
-    return fields
-
-
 def _seal_frame(body):
     return body + struct.pack("<I", zlib.crc32(body))
 
 
 def _frame_target(name, sketch, codec=None, inner=False):
-    body = _frame_body(sketch, codec)
-    fields = _frame_fields(body)
-    if inner:  # a raw frame: the sketch's own fields are exposed too
-        name_len = struct.unpack_from("<H", body, 6)[0]
-        fields += _sketch_fields(sketch, 16 + name_len)
+    body = encode_sketch(sketch, codec=codec)[:-4]
+    fields = _envelope_fields(body)
+    inner_fields = _sketch_fields(sketch, _blob_at(fields)) if inner else []
     return Target(
-        name, body, decode_sketch, fields, seal=_seal_frame,
-        limit=lambda size: 2 * MAX_RAW_BYTES,
+        name, body, decode_sketch, list(fields.values()) + inner_fields,
+        seal=_seal_frame, limit=lambda size: 2 * MAX_RAW_BYTES,
     )
 
 
@@ -450,12 +453,10 @@ def _targets():
         _registry_fields(registry),
     ))
     pool_file = _checkpoint_body(pool)
-    meta_at, meta_len = _checkpoint_meta_at(pool_file)
-    payload_at = meta_at + 4 + meta_len
+    fields = _envelope_fields(pool_file)
     targets.append(Target(
         "checkpoint", pool_file, _load_checkpoint,
-        [(6, "<B"), (meta_at, "<I"), (payload_at, "<Q")]
-        + _pool_fields(pool, payload_at + 8),
+        list(fields.values()) + _pool_fields(pool, _blob_at(fields)),
         seal=_seal_frame,
     ))
     sparse = Bitmap(20_000, seed=3)
@@ -524,27 +525,96 @@ class TestBoundedDecoding:
         assert _peak_bytes(target.decode, payload) <= target.limit(len(payload))
 
 
+def _with_meta(body, meta):
+    """``body`` (a frame without its CRC) carrying ``meta`` instead."""
+    meta_at = _envelope_fields(body)["meta length"][0]
+    (meta_len,) = struct.unpack_from("<I", body, meta_at)
+    return (
+        body[:meta_at] + struct.pack("<I", len(meta)) + meta
+        + body[meta_at + 4 + meta_len:]
+    )
+
+
 class TestCheckpointMeta:
     """Hostile metadata under a valid CRC is a ValueError, nothing else."""
 
     @pytest.mark.parametrize(
         "meta",
-        [b"[" * 5_000, b'[{"records_submitted":1}]', b'{"k":"\xff"}'],
-        ids=["nested-5000", "json-list", "invalid-utf8"],
+        [
+            b"[" * 5_000, b"[" * MAX_META_BYTES,
+            b'[{"records_submitted":1}]', b'{"k":"\xff"}',
+        ],
+        ids=["nested-5000", "nested-at-bound", "json-list", "invalid-utf8"],
     )
     def test_hostile_meta_is_refused(self, meta):
         body = _checkpoint_body(_small_pool())
-        meta_at, meta_len = _checkpoint_meta_at(body)
-        hostile = (
-            body[:meta_at] + struct.pack("<I", len(meta)) + meta
-            + body[meta_at + 4 + meta_len:]
-        )
-        with pytest.raises(ValueError):
-            _load_checkpoint(_seal_frame(hostile))
-        # Under the valid file's CRC, the CRC check refuses it first.
-        stale = hostile + _seal_frame(body)[-4:]
-        with pytest.raises(ValueError, match="CRC mismatch"):
-            _load_checkpoint(stale)
+        hostile = _with_meta(body, meta)
+        # A pool's checkpoint file is also a valid wire frame, and the
+        # wire path checks its meta exactly as the file path does.
+        for decode in (_load_checkpoint, decode_sketch):
+            with pytest.raises(ValueError, match="meta"):
+                decode(_seal_frame(hostile))
+            # Under the valid file's CRC, the CRC check refuses it first.
+            stale = hostile + _seal_frame(body)[-4:]
+            with pytest.raises(ValueError, match="CRC mismatch"):
+                decode(stale)
+
+    def test_oversized_meta_is_refused_unparsed(self):
+        # A hostile sender computes the CRC too: only the meta bound keeps
+        # a 1 MiB meta of ~350,000 empty objects from the JSON parser,
+        # which would build about 24 MiB of dicts from it.
+        meta = b'{"a":[' + b",".join([b"{}"] * 350_000) + b"]}"
+        assert len(meta) >= 1 << 20
+        hostile = _seal_frame(_with_meta(_checkpoint_body(_small_pool()), meta))
+        for decode in (_load_checkpoint, decode_sketch):
+            with pytest.raises(ValueError, match="meta exceeds"):
+                decode(hostile)
+            # At most the input itself, read from the file.
+            assert _peak_bytes(decode, hostile) <= len(hostile) + (1 << 16)
+
+    def test_save_refuses_meta_over_the_bound(self, tmp_path):
+        meta = {"note": "x" * MAX_META_BYTES}
+        with pytest.raises(ValueError, match="meta exceeds"):
+            checkpoint.save(_small_pool(), tmp_path / "big", meta)
+        assert list(tmp_path.iterdir()) == []
+
+
+def _big_pool():
+    """A K = 4 SMB pool whose serialized state is just over 1 MiB."""
+    pool = ShardPool.of("SMB", 1 << 23, 4, seed=3)
+    pool.record_many(distinct_items(50_000, seed=14))
+    return pool
+
+
+class TestOneCopy:
+    """A decoder copies each array once and never aliases its input."""
+
+    def test_checkpoint_read_peak(self, tmp_path):
+        path = tmp_path / "big.rpck"
+        size = checkpoint.save(_big_pool(), path, sync_directory=False)
+        assert size >= 1 << 20
+        # The file, the restored arrays, and one shard's zeroed arrays
+        # that decoding replaces.
+        assert _peak_bytes(checkpoint.read, path) <= 2.6 * size
+
+    def test_raw_frame_decode_peak(self):
+        frame = encode_sketch(_big_pool(), codec=CODEC_RAW)
+        assert frame_info(frame).codec == "raw"
+        assert _peak_bytes(decode_sketch, frame) <= 1.6 * len(frame)
+
+    def test_restored_state_does_not_alias_the_input(self):
+        pool = _small_pool()
+        registry = _small_registry()
+        cases = [
+            (decode_sketch, encode_sketch(pool, codec=CODEC_RAW), pool),
+            (ShardPool.from_bytes, pool.to_bytes(), pool),
+            (TenantRegistry.from_bytes, registry.to_bytes(), registry),
+        ]
+        for decode, data, original in cases:
+            buffer = bytearray(data)
+            restored = decode(buffer)
+            buffer[:] = bytes(len(buffer))
+            assert restored.to_bytes() == original.to_bytes()
 
 
 class TestHeadCases:

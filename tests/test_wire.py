@@ -16,6 +16,7 @@ from repro.wire import (
     frame_info,
 )
 from repro.wire import huffman, rle
+from repro.wire.frame import envelope
 
 #: (name, loaded factory) covering every wire-registry class; memory
 #: budgets are realistic (paper-scale-ish) so the compression assertions
@@ -225,38 +226,28 @@ class TestFrameCorruption:
             decode_sketch(bytes(mutated))
 
     def test_unknown_class_rejected(self, frame):
-        import zlib
-
-        from repro.wire.frame import _HEAD, _U32, MAGIC, VERSION
-
-        name = b"NoSuchSketch"
-        body = (
-            _HEAD.pack(MAGIC, VERSION, CODEC_RAW, len(name))
-            + name
-            + _U32.pack(4)
-            + _U32.pack(4)
-            + b"\x00\x00\x00\x00"
-        )
-        bogus = body + _U32.pack(zlib.crc32(body))
+        head, crc = envelope("NoSuchSketch", CODEC_RAW, 4, bytes(4))
         with pytest.raises(ValueError, match="unknown class"):
-            decode_sketch(bogus)
+            decode_sketch(head + bytes(4) + crc)
 
     def test_raw_length_mismatch_rejected(self, frame):
-        import zlib
-
-        from repro.wire.frame import _HEAD, _U32, MAGIC, VERSION
-
-        name = b"HyperLogLog"
-        body = (
-            _HEAD.pack(MAGIC, VERSION, CODEC_RAW, len(name))
-            + name
-            + _U32.pack(999)  # promises more than the blob holds
-            + _U32.pack(4)
-            + b"\x00\x00\x00\x00"
-        )
-        bogus = body + _U32.pack(zlib.crc32(body))
+        # The raw length promises more than the blob holds.
+        head, crc = envelope("HyperLogLog", CODEC_RAW, 999, bytes(4))
         with pytest.raises(ValueError, match="decoded"):
-            decode_sketch(bogus)
+            decode_sketch(head + bytes(4) + crc)
+
+    def test_tenant_registry_envelope_refused(self, tmp_path):
+        from repro.engine import checkpoint
+        from repro.serve.tenants import TenantConfig, TenantRegistry
+
+        registry = TenantRegistry(TenantConfig(memory_bits=2_000))
+        registry.record_many("t", distinct_items(500, seed=8))
+        path = tmp_path / "registry.rpck"
+        checkpoint.save(registry, path, sync_directory=False)
+        # The file path restores it; the wire scope has no such class.
+        assert checkpoint.load(path).to_bytes() == registry.to_bytes()
+        with pytest.raises(ValueError, match="unknown class 'TenantRegistry'"):
+            decode_sketch(path.read_bytes())
 
     def test_non_registry_class_rejected(self):
         class NotASketch:
@@ -266,20 +257,10 @@ class TestFrameCorruption:
             encode_sketch(NotASketch())  # type: ignore[arg-type]
 
 
-def _frame(codec, blob, raw_len, name=b"HyperLogLog"):
+def _frame(codec, blob, raw_len, name="HyperLogLog"):
     """A frame around ``blob`` with a valid CRC: only its sizes can lie."""
-    import struct
-    import zlib
-
-    from repro.wire.frame import _HEAD, MAGIC, VERSION
-
-    body = (
-        _HEAD.pack(MAGIC, VERSION, codec, len(name))
-        + name
-        + struct.pack("<II", raw_len, len(blob))
-        + blob
-    )
-    return body + struct.pack("<I", zlib.crc32(body))
+    head, crc = envelope(name, codec, raw_len, blob)
+    return head + blob + crc
 
 
 def _decode_peak(frame):
@@ -313,17 +294,17 @@ class TestFrameSizeBound:
     @pytest.mark.parametrize(
         "frame, size",
         [
-            (_frame(CODEC_ZRLE, ZERO_RUN, GIB), 41),
-            (_frame(CODEC_ZRLE, CUT_RUN, GIB), 37),
-            (_frame(CODEC_HUFFMAN, ONE_BIT, GIB), 40),
+            (_frame(CODEC_ZRLE, ZERO_RUN, GIB), 55),
+            (_frame(CODEC_ZRLE, CUT_RUN, GIB), 51),
+            (_frame(CODEC_HUFFMAN, ONE_BIT, GIB), 54),
             # The frame's raw length is in bounds; the codec header lies.
-            (_frame(CODEC_ZRLE, ZERO_RUN, 4), 41),
-            (_frame(CODEC_ZRLE, CUT_RUN, 4), 37),
-            (_frame(CODEC_HUFFMAN, ONE_BIT, 4), 40),
+            (_frame(CODEC_ZRLE, ZERO_RUN, 4), 55),
+            (_frame(CODEC_ZRLE, CUT_RUN, 4), 51),
+            (_frame(CODEC_HUFFMAN, ONE_BIT, 4), 54),
             # Both agree and fit, but one payload byte holds 8 symbols.
-            (_frame(CODEC_HUFFMAN, MAX_BLOB + ONE_BIT[4:], MAX_RAW_BYTES), 40),
+            (_frame(CODEC_HUFFMAN, MAX_BLOB + ONE_BIT[4:], MAX_RAW_BYTES), 54),
             # A one-byte sketch whose payload runs on far past its code.
-            (_frame(CODEC_HUFFMAN, PADDED, 1), 40 + (1 << 16)),
+            (_frame(CODEC_HUFFMAN, PADDED, 1), 54 + (1 << 16)),
         ],
         ids=[
             "zrle-run", "zrle-cut", "huffman", "zrle-run-lies",
