@@ -30,19 +30,20 @@ The batch path ``record_many`` is bit-for-bit equivalent to sequential
 located from the per-chunk count of newly set bits (the ``need``-th
 first-occurrence of a fresh position), the chunk is split there, the
 bitmap morphs, and the remainder re-enters under the advanced round's
-Step-1 filter. The geometric levels live on a shared
-:class:`~repro.kernels.HashPlane`, computed once per chunk; position
-hashing follows the algorithm's own economics — only arrivals that
-survive Step 1 are position-hashed (one dedup window at a time), which
-is exactly why SMB's throughput *grows* with cardinality. A plane that
-already carries a materialized position array (a mirror or pool
-prefetched it) is gathered from instead.
+Step-1 filter. By Definition 1, ``G(d) >= r`` holds exactly when the
+low ``r`` bits of the uniform hash ``H(d)`` are zero, so Step 1 is one
+mask over each chunk's own ``H`` (:func:`step1_mask`), and a morph
+re-masks the same hashes. Position hashing follows the algorithm's own
+economics — only arrivals that survive Step 1 are position-hashed (one
+dedup window at a time), which is exactly why SMB's throughput *grows*
+with cardinality. Of a :class:`~repro.kernels.HashPlane`, SMB reads
+only the values.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Protocol
+from typing import Optional, Protocol
 
 import numpy as np
 
@@ -50,13 +51,26 @@ from repro.bitvector import BitVector
 from repro.estimators.base import CardinalityEstimator
 from repro.estimators.state import BITMAP, Array, Field, SketchState
 from repro.hashing import GeometricHash, UniformHash
-from repro.kernels import HashPlane, geometric_request, positions_request
+from repro.kernels import HashPlane
 
 #: Upper bound on the batch path's dedup window — the number of sampled
 #: arrivals examined by one ``np.unique`` pass when a morph may occur.
 #: Large enough to amortize the pass, small enough that overshooting a
 #: round crossing discards little work.
 BATCH_CHUNK = 8192
+
+
+def step1_mask(hashes: np.ndarray, r: int) -> np.ndarray:
+    """Step 1 of Algorithm 1 over uniform hashes: ``G(d) >= r`` per item.
+
+    ``G`` counts the trailing zeros of ``H`` (Definition 1), so the test
+    is "the low ``r`` bits of ``H(d)`` are zero". ``G`` never exceeds 64,
+    so no item passes a round past 64; a 64-bit mask saturated there
+    would let ``H(d) = 0`` through.
+    """
+    if r > 64:
+        return np.zeros(hashes.shape, dtype=bool)
+    return (hashes & np.uint64((1 << r) - 1)) == 0
 
 
 def round_constants(memory_bits: int, threshold: int) -> np.ndarray:
@@ -257,17 +271,9 @@ class SelfMorphingBitmap(CardinalityEstimator):
                 self.v = 0
 
     def plane_requests(self) -> tuple:
-        """Step-1 geometric levels only.
-
-        The Step-2 position hash is deliberately *not* requested:
-        prefetching it at full width would position-hash every arrival,
-        but the algorithm only hashes arrivals that survive Step 1 —
-        the source of SMB's growing recording throughput. The batch
-        path hashes positions per dedup window instead (and gathers
-        from the plane when some other consumer already materialized
-        the array).
-        """
-        return (geometric_request(self._geometric_hash.seed),)
+        """None: Step 1 hashes every arrival and Step 2 only survivors,
+        both cheapest per chunk of the values, so nothing is prefetched."""
+        return ()
 
     def _dedup_window(self, need: int) -> int:
         """Sampled arrivals per ``np.unique`` pass when a morph is near.
@@ -283,93 +289,63 @@ class SelfMorphingBitmap(CardinalityEstimator):
         expected = 2.0 * need * (self.m / zeros)
         return max(1024, min(BATCH_CHUNK, int(expected)))
 
-    # Positions are deliberately unrequested: only Step-1 survivors get
-    # position-hashed (see plane_requests docstring); prefetching would
-    # hash every arrival.
     def _record_plane(self, plane: HashPlane) -> None:
-        size = plane.size
         values = plane.values
-        materialized = plane.materialized()
-        if positions_request(self._position_hash.seed, self.m) in materialized:
-            # Another consumer (a mirror, a prefetching pool) already
-            # paid for the full position array: windows are gathers.
-            full_positions = plane.positions(self._position_hash.seed, self.m)
-
-            def positions_of(indices: np.ndarray) -> np.ndarray:
-                return full_positions[indices]
-
-        else:
-            modulus = np.uint64(self.m)
-
-            def positions_of(indices: np.ndarray) -> np.ndarray:
-                return self._position_hash.hash_array(values[indices]) % modulus
-
-        if geometric_request(self._geometric_hash.seed) in materialized:
-            full_levels = plane.geometric(self._geometric_hash.seed)
-
-            def levels_of(lo: int, hi: int) -> np.ndarray:
-                return full_levels[lo:hi]
-
-        else:
-            # Hash levels per chunk: a chunk's intermediates stay
-            # cache-resident across the splitmix64 passes, ~2× faster
-            # than one full-width pass over a long stream.
-            def levels_of(lo: int, hi: int) -> np.ndarray:
-                return self._geometric_hash.value_array(values[lo:hi])
-
+        sample_hash = self._geometric_hash.uniform
         start = 0
         # analysis: allow(purity.loop) -- chunk loop, O(size/BATCH_CHUNK)
-        while start < size:
-            chunk_start, chunk_end = start, min(size, start + BATCH_CHUNK)
-            levels = None
-            if self.r == 0:
-                # Round 0 samples everything: the Step-1 comparison
-                # G(d) >= 0 is vacuous, so skip reading the levels (the
-                # hash op is still billed — the algorithm specifies it).
-                sampled = np.arange(chunk_start, chunk_end, dtype=np.int64)
-            else:
-                levels = levels_of(chunk_start, chunk_end)
-                sampled = chunk_start + np.flatnonzero(levels >= self.r)
+        while start < values.size:
+            chunk_start = start
+            chunk_end = min(values.size, start + BATCH_CHUNK)
+            hashes = None
             # analysis: allow(purity.loop) -- advances one *round* per
             # iteration; crossings are rare (at most m/T per stream)
             while start < chunk_end:
-                if sampled.size == 0:
+                if self.r == 0:
+                    # Round 0 samples everything: the Step-1 test
+                    # G(d) >= 0 is vacuous, so skip the hash (its op is
+                    # still billed — the algorithm specifies it).
+                    sampled = np.arange(start, chunk_end, dtype=np.int64)
+                else:
+                    # After a morph the same hashes are masked again.
+                    if hashes is None:
+                        hashes = sample_hash.hash_array(
+                            values[chunk_start:chunk_end]
+                        )
+                    sampled = start + np.flatnonzero(
+                        step1_mask(hashes[start - chunk_start:], self.r)
+                    )
+                if sampled.size:
+                    start = self._consume_round(
+                        values, sampled, start, chunk_end
+                    )
+                else:
                     self.hash_ops += chunk_end - start
                     start = chunk_end
-                    break
-                start = self._consume_round(
-                    positions_of, sampled, start, chunk_end
-                )
-                if start >= chunk_end:
-                    break
-                # A morph happened at `start`. The round-(r+1) sample
-                # set is a subset of the round-r one, so the chunk's
-                # candidates narrow incrementally; crossings are rare
-                # (at most m/T per stream), so this refilter is cheap.
-                if levels is None:
-                    levels = levels_of(chunk_start, chunk_end)
-                tail = sampled[np.searchsorted(sampled, start):]
-                sampled = tail[levels[tail - chunk_start] >= self.r]
         sink = self._obs_sink
         if sink is not None:
             sink.update(self)
 
+    def _positions(self, values: np.ndarray) -> np.ndarray:
+        """Step 2's bit positions ``H'(d) mod m`` of sampled values."""
+        return self._position_hash.hash_array(values) % np.uint64(self.m)
+
     def _consume_round(
         self,
-        positions_of: Callable[[np.ndarray], np.ndarray],
+        values: np.ndarray,
         sampled: np.ndarray,
         start: int,
         size: int,
     ) -> int:
         """Apply the current round's sampled arrivals until it ends.
 
-        ``sampled`` holds the stream indices in ``[start, size)`` that
-        pass the current round's Step-1 filter (``size`` is the current
-        chunk's end). Consumes arrivals until the chunk is exhausted
-        (returns ``size``) or the round threshold is crossed — then
-        morphs and returns the stream index right after the crossing
-        arrival, whose remainder the caller refilters under the
-        advanced round.
+        ``sampled`` holds the indices into ``values`` in ``[start,
+        size)`` that pass the current round's Step-1 filter (``size`` is
+        the current chunk's end). Consumes arrivals until the chunk is
+        exhausted (returns ``size``) or the round threshold is crossed —
+        then morphs and returns the stream index right after the
+        crossing arrival, whose remainder the caller refilters under
+        the advanced round.
         """
         offset = 0  # consumed prefix of `sampled`
         while True:
@@ -379,7 +355,9 @@ class SelfMorphingBitmap(CardinalityEstimator):
                 # Even if every remaining sampled arrival set a new bit
                 # the round could not end: apply directly, no dedup
                 # pass needed.
-                self.v += self._bits.set_many(positions_of(sampled[offset:]))
+                self.v += self._bits.set_many(
+                    self._positions(values[sampled[offset:]])
+                )
                 self.hash_ops += (size - start) + remaining
                 self.bits_accessed += remaining
                 return size
@@ -388,7 +366,7 @@ class SelfMorphingBitmap(CardinalityEstimator):
             # in the sequential semantics (order among *distinct*
             # positions cannot matter while the round is fixed).
             window = sampled[offset:offset + self._dedup_window(need)]
-            window_positions = positions_of(window)
+            window_positions = self._positions(values[window])
             unique, first_idx = np.unique(window_positions, return_index=True)
             new_first = first_idx[~self._bits.test_many(unique)]
             if new_first.size < need:

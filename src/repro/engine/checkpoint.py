@@ -7,7 +7,8 @@ head, the payload and the CRC as separate parts, so no joined copy of
 the payload is built. :func:`read` parses with the frame's parser,
 bounded by the file's own size rather than the wire's
 ``MAX_RAW_BYTES``: a large pool's checkpoint outgrows the latter.
-Every failure is a ``ValueError``.
+:func:`read_meta` runs the same parse and stops before the payload's
+``from_bytes``. Every failure is a ``ValueError``.
 
 Files are written **atomically and durably**: to a temporary file in
 the target directory (widened from ``mkstemp``'s 0600 to what the umask
@@ -35,12 +36,15 @@ from __future__ import annotations
 import os
 import tempfile
 import time
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.estimators.base import CardinalityEstimator
 from repro.estimators.registry import sketch_registry
 from repro.obs.metrics import get_registry
 from repro.testing.faults import fire
+
+if TYPE_CHECKING:
+    from repro.wire.frame import Envelope
 
 #: Prefix of the temporary files :func:`save` writes before the atomic
 #: rename. Recovery's orphan sweep keys on it
@@ -155,6 +159,16 @@ def save(
     return written
 
 
+def _parse(path: str | os.PathLike[str]) -> tuple[int, Envelope]:
+    """A checkpoint file's size and its frame, validated CRC included."""
+    with open(os.fspath(path), "rb") as handle:
+        data = handle.read()
+    # Loaded on first use, as in save.
+    from repro.wire.frame import parse
+
+    return len(data), parse(data, max_raw=len(data))
+
+
 def read(
     path: str | os.PathLike[str],
 ) -> tuple[CardinalityEstimator, dict[str, Any]]:
@@ -165,22 +179,27 @@ def read(
     """
     obs = get_registry()
     began = time.perf_counter() if obs.enabled else 0.0
-    with open(os.fspath(path), "rb") as handle:
-        data = handle.read()
-    from repro.wire.frame import parse
-
-    frame = parse(data, max_raw=len(data))
+    size, frame = _parse(path)
     estimator = frame.restore("checkpoint")
     if obs.enabled:
         obs.counter(
             "repro_checkpoint_load_bytes_total",
             "Checkpoint bytes read by load()",
-        ).inc(len(data))
+        ).inc(size)
         obs.histogram(
             "repro_checkpoint_load_seconds",
             "Wall time of one checkpoint load()",
         ).observe(time.perf_counter() - began)
     return estimator, frame.meta
+
+
+def read_meta(path: str | os.PathLike[str]) -> dict[str, Any]:
+    """The metadata :func:`read` returns, without restoring the estimator.
+
+    The file passes the same strict parse, CRC included, so a file
+    :func:`read` refuses for its framing raises ``ValueError`` here too.
+    """
+    return _parse(path)[1].meta
 
 
 def load(path: str | os.PathLike[str]) -> CardinalityEstimator:

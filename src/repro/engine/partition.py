@@ -20,7 +20,9 @@ routing, geometric); correlating the two would skew per-shard loads.
 Both a scalar path (:meth:`Partitioner.shard_of`) and a vectorized path
 (:meth:`Partitioner.shard_ids`, :meth:`Partitioner.split`) are provided,
 computing the same function — mirroring the library-wide scalar/batch
-equivalence contract.
+equivalence contract. Both splits share one stable counting sort of the
+routing hash, computed from the values: no shard reads it, so it is
+never cached on a plane.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hashing import UniformHash, canonical_u64_array
-from repro.kernels import HashPlane, positions_request
-from repro.kernels.plane import PlaneRequest
+from repro.kernels import HashPlane
 
 #: Seed offset of the partition hash, distinct from every offset the
 #: estimators use (SMB position 0x504F53, LogLog/HLL geometric 0x47454F),
@@ -52,7 +53,7 @@ class Partitioner:
     adds no per-item overhead over the bare estimator.
     """
 
-    __slots__ = ("num_shards", "seed", "_hash", "_num_shards_u64")
+    __slots__ = ("num_shards", "seed", "_hash", "_num_shards_u64", "_id_dtype")
 
     def __init__(self, num_shards: int, seed: int = 0) -> None:
         if num_shards < 1:
@@ -61,6 +62,7 @@ class Partitioner:
         self.seed = int(seed)
         self._hash = UniformHash(self.seed + ROUTE_SEED_OFFSET)
         self._num_shards_u64 = np.uint64(self.num_shards)
+        self._id_dtype = np.min_scalar_type(self.num_shards - 1)
 
     def shard_of(self, value: int) -> int:
         """Shard index of one canonical uint64 value (scalar path)."""
@@ -74,6 +76,22 @@ class Partitioner:
             return np.zeros(values.size, dtype=np.uint64)
         return self._hash.hash_array(values) % self._num_shards_u64
 
+    def _groups(self, values: np.ndarray) -> list[np.ndarray]:
+        """Each shard's indices into ``values``, in arrival order.
+
+        The shard ids are narrowed to the smallest unsigned dtype, which
+        one stable ``argsort`` sorts by radix below 16 bits; the group
+        boundaries are the running sum of the ids' ``bincount``.
+        """
+        ids = self.shard_ids(values).astype(self._id_dtype)
+        order = np.argsort(ids, kind="stable")
+        bounds = np.zeros(self.num_shards + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ids, minlength=self.num_shards), out=bounds[1:])
+        edges = bounds.tolist()
+        return [
+            order[edges[k]:edges[k + 1]] for k in range(self.num_shards)
+        ]
+
     def split(self, values: np.ndarray) -> list[np.ndarray]:
         """Split a uint64 array into ``K`` disjoint per-shard sub-arrays.
 
@@ -85,56 +103,20 @@ class Partitioner:
         values = canonical_u64_array(values)
         if self.num_shards == 1:
             return [values]
-        ids = self.shard_ids(values)
-        if self.num_shards <= 32:
-            # K vectorized compare-and-gather passes beat a stable sort
-            # by ~2x up to a few dozen shards (measured on 1M items).
-            return [
-                values[ids == np.uint64(k)] for k in range(self.num_shards)
-            ]
-        # Large K: one stable sort groups by shard while preserving
-        # arrival order within each shard.
-        order = np.argsort(ids, kind="stable")
-        grouped = values[order]
-        boundaries = np.searchsorted(
-            ids[order], np.arange(self.num_shards + 1, dtype=np.uint64)
-        )
-        return [
-            grouped[boundaries[k]:boundaries[k + 1]]
-            for k in range(self.num_shards)
-        ]
-
-    def plane_request(self) -> PlaneRequest:
-        """The routing hash as a plane request (modulus ``num_shards``)."""
-        return positions_request(self._hash.seed, self.num_shards)
+        return [values[group] for group in self._groups(values)]
 
     def split_plane(self, plane: HashPlane) -> list[HashPlane]:
         """Split a hash plane into ``K`` disjoint per-shard sub-planes.
 
         Same grouping (and the same stability guarantee) as
-        :meth:`split`, but operating on a shared
-        :class:`~repro.kernels.HashPlane`: the routing hash is read from
-        the plane and every hash array already materialized on it is
-        *gathered* into the sub-planes, so downstream shards never
-        re-hash — the chunk is canonicalized and hashed exactly once no
-        matter how many shards consume it.
+        :meth:`split`. Every hash array already materialized on the
+        plane is *gathered* into the sub-planes by
+        :meth:`~repro.kernels.HashPlane.take`, so a shard never re-hashes
+        what was prefetched for it.
         """
         if self.num_shards == 1:
             return [plane]
-        ids = plane.positions(self._hash.seed, self.num_shards)
-        if self.num_shards <= 32:
-            return [
-                plane.take(np.flatnonzero(ids == np.uint64(k)))
-                for k in range(self.num_shards)
-            ]
-        order = np.argsort(ids, kind="stable")
-        boundaries = np.searchsorted(
-            ids[order], np.arange(self.num_shards + 1, dtype=np.uint64)
-        )
-        return [
-            plane.take(order[boundaries[k]:boundaries[k + 1]])
-            for k in range(self.num_shards)
-        ]
+        return [plane.take(group) for group in self._groups(plane.values)]
 
     def __repr__(self) -> str:
         return f"Partitioner(num_shards={self.num_shards}, seed={self.seed})"

@@ -3,11 +3,11 @@
 :class:`IngestPipeline` turns a :class:`~repro.engine.shards.ShardPool`
 into a streaming sink that many threads may feed at once. The
 submitting thread canonicalizes each incoming batch, slices it into
-chunks of ``chunk_size`` items, builds one shared
-:class:`~repro.kernels.HashPlane` per chunk, prefetches the hash arrays
-the pool's shards will read, splits the chunk into per-shard sub-planes
-and applies each sub-plane to its shard — so a chunk is hashed exactly
-once, and a drained pipeline holds *bit-for-bit* the same state as
+chunks of ``chunk_size`` items, wraps each chunk in a
+:class:`~repro.kernels.HashPlane`, has the pool split it into per-shard
+sub-planes (:meth:`~repro.engine.shards.ShardPool.split`, the same
+split ``pool.record_many`` makes) and applies each sub-plane to its
+shard — so a drained pipeline holds *bit-for-bit* the same state as
 synchronous ``pool.record_many`` over the same stream (asserted by the
 stateful engine test).
 
@@ -209,13 +209,10 @@ class IngestPipeline:
         """The body of :meth:`submit`, after lifecycle registration."""
         self._raise_pending()
         values = canonical_u64_array(items)
-        requests = self.pool.plane_requests()
         for start in range(0, values.size, self.chunk_size):
             self._raise_pending()  # fast-fail between chunks
             plane = HashPlane(values[start:start + self.chunk_size])
-            plane.prefetch(requests)
-            parts = self.pool.partitioner.split_plane(plane)
-            if self._apply(plane.size, parts):
+            if self._apply(plane.size, self.pool.split(plane)):
                 # _apply claimed the pause; this submit stays in flight.
                 try:
                     self._quiesce(in_flight=1)
@@ -246,7 +243,7 @@ class IngestPipeline:
         applied = applied_parts = 0
         with self._lock:
             # Same routing-hash accounting as ShardPool._record_plane
-            # (the pipeline partitions directly, bypassing that method).
+            # (the pipeline applies pool.split's sub-planes itself).
             if self.pool.num_shards > 1:
                 self.pool._route_hash_ops += size
             self.records_submitted += size

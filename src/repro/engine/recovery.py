@@ -354,7 +354,9 @@ class CheckpointManager:
         """Every generation file in the directory, oldest first.
 
         Each carries the metadata saved in its file, or ``{}`` when the
-        file does not validate.
+        file does not validate. Only the frame is parsed
+        (:func:`repro.engine.checkpoint.read_meta`): no generation's
+        estimator is restored.
         """
         out: list[Generation] = []
         with self._lock:
@@ -365,7 +367,7 @@ class CheckpointManager:
                 except OSError:
                     continue
                 try:
-                    meta = checkpoint.read(path)[1]
+                    meta = checkpoint.read_meta(path)
                 except (OSError, ValueError):
                     meta = {}
                 out.append(Generation(number, path, size, meta))

@@ -152,41 +152,42 @@ class ShardPool(CardinalityEstimator):
         self.shards[self.partitioner.shard_of(value)]._record_u64(value)
 
     def plane_requests(self) -> tuple[PlaneRequest, ...]:
-        """Routing hash plus every request shared by all shards.
+        """Every request shared by all shards.
 
         Requests unique to a subset of shards are left out: they are
         cheaper to compute at sub-plane width after partitioning than
-        at full chunk width before it. ``ShardPool.of`` gives every
-        shard the same estimator seed, so there the full request set is
-        prefetched and the shards never hash at all.
+        at full chunk width before it. The routing hash is not a
+        request either: the partitioner computes it from the values,
+        and no shard reads it.
         """
-        requests: list[PlaneRequest] = []
-        if self.num_shards > 1:
-            requests.append(self.partitioner.plane_request())
         counts: dict[PlaneRequest, int] = {}
         for shard in self.shards:
             for request in dict.fromkeys(shard.plane_requests()):
                 counts[request] = counts.get(request, 0) + 1
-        requests.extend(
+        return tuple(
             request
             for request, count in counts.items()
-            if count == self.num_shards and request not in requests
+            if count == self.num_shards
         )
-        return tuple(requests)
+
+    def split(self, plane: HashPlane) -> list[HashPlane]:
+        """One sub-plane per shard, each a gather of what its shard reads.
+
+        Prefetches :meth:`plane_requests` at full vector width, then
+        splits the plane with the partitioner. ``ShardPool.of`` gives
+        every shard the same estimator seed, so there the shards never
+        hash a requested array themselves. The one place a plane is
+        split: :meth:`record_many` and the ingest pipeline both call it.
+        """
+        plane.prefetch(self.plane_requests())
+        return self.partitioner.split_plane(plane)
 
     def _record_plane(self, plane: HashPlane) -> None:
-        if self.num_shards == 1:
-            self.shards[0]._record_plane(plane)
-            return
-        self._route_hash_ops += plane.size
-        # Hash once at full vector width, then hand each shard a pure
-        # gather of the arrays it will read.
-        plane.prefetch(self.plane_requests())
+        if self.num_shards > 1:
+            self._route_hash_ops += plane.size
         # analysis: allow(purity.loop) -- one iteration per shard (K),
         # each applying a vectorized sub-plane, never per item
-        for shard, part in zip(
-            self.shards, self.partitioner.split_plane(plane)
-        ):
+        for shard, part in zip(self.shards, self.split(plane)):
             if part.size:
                 shard._record_plane(part)
 

@@ -145,10 +145,10 @@ class CardinalityEstimator(ABC):
     def plane_requests(self) -> Sequence[tuple]:
         """The hash arrays this estimator reads from a plane.
 
-        Pools and pipelines prefetch these at full vector width before
-        partitioning a chunk, so per-shard sub-planes are pure gathers.
-        The default (no requests) is correct for any estimator — it only
-        forgoes the prefetch optimization.
+        A pool prefetches those all its shards share at full vector
+        width before splitting a chunk, so per-shard sub-planes are pure
+        gathers. The default (no requests) is correct for any estimator
+        — it only forgoes the prefetch optimization.
         """
         return ()
 

@@ -59,6 +59,11 @@ class GeometricHash:
     def seed(self) -> int:
         return self._hash.seed
 
+    @property
+    def uniform(self) -> UniformHash:
+        """The uniform hash ``H`` whose trailing zeros this counts."""
+        return self._hash
+
     def value_u64(self, x: int) -> int:
         """Geometric hash of a canonical uint64 value (scalar)."""
         return trailing_zeros(self._hash.hash_u64(x))

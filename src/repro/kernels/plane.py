@@ -8,18 +8,20 @@ small set of hash arrays that every consumer of that chunk draws from —
 the **hash plane**:
 
     plane = HashPlane.of(chunk)
-    smb.record_plane(plane)        # geometric(seed), positions(seed', m)
     hll.record_plane(plane)        # positions(seed, t), geometric(seed'')
-    pool.record_plane(plane)       # routing uniform + gathered sub-planes
+    pool.record_plane(plane)       # shared requests + gathered sub-planes
+    smb.record_plane(plane)        # the values only; hashes its own chunks
 
 :class:`HashPlane` memoizes each array by ``(kind, seed[, modulus])``
 the first time a consumer asks for it. Consumers with the same seed
 (mirrored estimators, the K same-seed shards of ``ShardPool.of``, the
 d rows of a SpreadSketch, a benchmark recording one stream into several
 baselines that share a route or geometric seed) hit the cache and pay
-nothing. Morphing, round filters and register scatters all read from
-the plane, so a chunk is hashed **once** no matter how many structures
-consume it.
+nothing. Register scatters read from the plane, so a chunk is hashed
+**once** no matter how many structures consume it. SMB is the
+exception by design: its Step 1 needs a uniform hash of every arrival
+and its Step 2 a position hash of the survivors only, both cheapest
+per chunk of its own values.
 
 Memory: each materialized array is 8 bytes/item for uniform and
 position arrays and 1 byte/item for geometric levels; a plane over an
@@ -47,8 +49,8 @@ from repro.hashing import (
 
 #: A plane request names one hash array: ("uniform", seed),
 #: ("geometric", seed) or ("positions", seed, modulus). Estimators
-#: advertise theirs via ``CardinalityEstimator.plane_requests`` so
-#: pools and pipelines can prefetch full-width arrays before splitting.
+#: advertise theirs via ``CardinalityEstimator.plane_requests`` so a
+#: pool can prefetch full-width arrays before splitting a chunk.
 PlaneRequest = Tuple
 
 

@@ -80,6 +80,8 @@ class TestBenchSnapshotSchema:
              "snapshot.stream_items: expected a non-negative number"),
             ("kernels", ["engine", 0, "pool_mdps"], float("nan"),
              "snapshot.engine[0].pool_mdps: expected a finite number"),
+            ("kernels", ["engine", 1, "pool_mdps_q3"], -1.0,
+             "snapshot.engine[1].pool_mdps_q3: expected a non-negative"),
             ("wire", ["sketches", "HyperLogLog", "codec"], "magic",
              "snapshot.sketches.HyperLogLog.codec: expected one of"),
         ):
@@ -91,6 +93,19 @@ class TestBenchSnapshotSchema:
         del document["criteria"]["threshold"]
         (problem,) = tool.check("kernels", document)
         assert problem.startswith("snapshot.criteria: recorded"), problem
+
+    def test_engine_rows_are_medians_with_quartiles(self, tool):
+        rows = committed("kernels")["engine"]
+        assert {(row["estimator"], row["shards"]) for row in rows} == {
+            (name, k) for name in ("SMB", "HLL++") for k in (1, 4, 8)
+        }
+        for row in rows:
+            assert (
+                row["pool_mdps_q1"] <= row["pool_mdps"] <= row["pool_mdps_q3"]
+            ), row
+        document = committed("kernels")
+        del document["engine"][0]["pool_mdps_q1"]
+        assert tool.check("kernels", document) != []
 
     def test_non_object_rejected(self, tool):
         for name in tool.SECTIONS:

@@ -23,6 +23,7 @@ from repro import (
     ShardPool,
 )
 from repro.engine import checkpoint
+from repro.kernels import HashPlane
 from repro.streams import distinct_items
 from repro.wire import decode_sketch, frame
 
@@ -103,6 +104,22 @@ class TestShardPool:
             shard.record_many(sub)
         assert pool.query() == sum(m.query() for m in mirrors)
         assert pool.shard_estimates() == [m.query() for m in mirrors]
+
+    def test_split_gathers_only_what_shards_read(self):
+        # SMB reads nothing but values from a plane; HLL++ shards get
+        # exactly the arrays of their own requests. Neither sub-plane
+        # carries the routing hash, which no shard reads.
+        items = distinct_items(5000, seed=3)
+        smb = ShardPool.of("SMB", 40_000, 4, seed=1)
+        for part in smb.split(HashPlane(items)):
+            assert part.materialized() == ()
+        hll = ShardPool.of("HLL++", 40_000, 4, seed=1)
+        requested = HashPlane(items)
+        requested.prefetch(hll.shards[0].plane_requests())
+        parts = hll.split(HashPlane(items))
+        assert sum(part.size for part in parts) == items.size
+        for part in parts:
+            assert set(part.materialized()) == set(requested.materialized())
 
     def test_memory_is_summed(self):
         pool = smb_pool(num_shards=3)

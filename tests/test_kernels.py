@@ -9,6 +9,8 @@ re-hashing.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hashing import GeometricHash, UniformHash
 from repro.kernels import (
@@ -96,7 +98,7 @@ class TestPartitionerPlanes:
     def test_split_plane_matches_split(self):
         from repro.engine.partition import Partitioner
 
-        for num_shards in (1, 4, 40):  # mask path, and the sort path
+        for num_shards in (1, 4, 40):
             partitioner = Partitioner(num_shards, seed=2)
             plane = HashPlane(VALUES)
             plane.prefetch([uniform_request(11)])
@@ -109,3 +111,53 @@ class TestPartitionerPlanes:
                 assert np.array_equal(
                     sub.uniform(11), UniformHash(11).hash_array(part)
                 )
+
+    @settings(deadline=None)
+    @given(
+        values=st.lists(st.integers(0, 2**64 - 1), max_size=300),
+        seed=st.integers(0, 2**32),
+    )
+    def test_split_plane_is_a_stable_grouping(self, values, seed):
+        from repro.engine.partition import Partitioner
+
+        values = np.array(values, dtype=np.uint64)
+        requests = [
+            uniform_request(11), geometric_request(12),
+            positions_request(13, 977),
+        ]
+        for num_shards in (1, 2, 3, 4, 8, 32, 33, 256, 257):
+            partitioner = Partitioner(num_shards, seed=seed)
+            plane = HashPlane(values)
+            plane.prefetch(requests)
+            ids = partitioner.shard_ids(values)
+            parts = partitioner.split_plane(plane)
+            assert len(parts) == num_shards
+            for shard, part in enumerate(parts):
+                # Arrival order within the shard, every array alike.
+                mine = ids == shard
+                assert set(part.materialized()) == set(plane.materialized())
+                assert np.array_equal(part.values, values[mine])
+                assert np.array_equal(
+                    part.uniform(11), plane.uniform(11)[mine]
+                )
+                assert np.array_equal(
+                    part.geometric(12), plane.geometric(12)[mine]
+                )
+                assert np.array_equal(
+                    part.positions(13, 977), plane.positions(13, 977)[mine]
+                )
+
+    def test_split_with_32_bit_shard_ids(self):
+        from repro.engine.partition import Partitioner
+
+        num_shards = 65_537  # ids past 16 bits: no longer a radix sort
+        partitioner = Partitioner(num_shards, seed=4)
+        values = VALUES[:500]
+        ids = partitioner.shard_ids(values)
+        parts = partitioner.split(values)
+        assert [part.size for part in parts] == np.bincount(
+            ids.astype(np.int64), minlength=num_shards
+        ).tolist()
+        assert np.array_equal(
+            np.concatenate(parts), values[np.argsort(ids, kind="stable")]
+        )

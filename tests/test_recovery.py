@@ -25,6 +25,7 @@ from repro.engine.recovery import (
 )
 from repro.obs import MetricsRegistry, set_registry
 from repro.obs.metrics import NullRegistry
+from repro.serve.tenants import TenantConfig, TenantRegistry
 from repro.streams import distinct_items
 from repro.testing.faults import InjectedFault, fault_plan
 
@@ -238,6 +239,37 @@ class TestDirectoryIndex:
         assert (generation.generation, generation.meta) == (1, {"n": 100})
         # Numbering continues past every file on disk, torn or not.
         assert mgr.save(make_smb(300)).generation == 3
+
+    def test_generations_read_only_the_metadata(self, tmp_path, monkeypatch):
+        mgr = manager(tmp_path)
+        registry = TenantRegistry(TenantConfig(
+            estimator="SMB", memory_bits=2_000, shards=2,
+            design_cardinality=100_000, seed=3,
+        ))
+        for index in range(3):
+            registry.record_many(f"t{index}", distinct_items(500, seed=index))
+            mgr.save(registry, meta={"records": 500 * (index + 1)})
+        listed = [(g.generation, g.size, g.meta) for g in mgr.generations()]
+        assert [meta for __, __, meta in listed] == [
+            {"records": 500}, {"records": 1000}, {"records": 1500},
+        ]
+
+        def refuse(cls, data):
+            raise ValueError("generations() restored an estimator")
+
+        monkeypatch.setattr(TenantRegistry, "from_bytes", classmethod(refuse))
+        assert [
+            (g.generation, g.size, g.meta) for g in mgr.generations()
+        ] == listed
+        # The meta is still read under the frame's CRC.
+        with open(mgr.generations()[-1].path, "r+b") as handle:
+            handle.seek(-1, os.SEEK_END)
+            last = handle.read(1)
+            handle.seek(-1, os.SEEK_END)
+            handle.write(bytes([last[0] ^ 0xFF]))
+        assert [g.meta for g in mgr.generations()] == [
+            {"records": 500}, {"records": 1000}, {},
+        ]
 
     def test_deleted_generation_is_not_listed(self, tmp_path):
         mgr = manager(tmp_path)

@@ -9,9 +9,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import SelfMorphingBitmap
-from repro.core.smb import round_constants
+from repro.core.smb import round_constants, step1_mask
 from repro.core.theory import smb_error_bound
 from repro.core.tuning import smb_max_estimate
+from repro.hashing import trailing_zeros_array
 from repro.streams import distinct_items
 
 
@@ -284,6 +285,18 @@ class TestBatchExactness:
         assert batch.r == scalar.r
         assert batch.v == scalar.v
         assert batch._bits == scalar._bits
+
+    @settings(max_examples=25, deadline=None)
+    @given(drawn=st.lists(st.integers(0, 2**64 - 1), max_size=64))
+    def test_step1_mask_is_the_geometric_filter(self, drawn):
+        # G(d) >= r exactly when the low r bits of H(d) are zero. G never
+        # exceeds 64: only H(d) = 0 passes at r = 64, nothing past it.
+        hashes = np.array([0, 1, 1 << 63, 2**64 - 1, *drawn], dtype=np.uint64)
+        levels = trailing_zeros_array(hashes)
+        for r in range(71):
+            assert np.array_equal(step1_mask(hashes, r), levels >= r), r
+        assert np.array_equal(step1_mask(hashes, 64), hashes == 0)
+        assert not step1_mask(hashes, 65).any()
 
     def test_many_crossings(self):
         # Tiny T forces a crossing in almost every chunk.

@@ -8,8 +8,9 @@ path and checked by another:
   vectorized plane path on a 10^6-item distinct stream, next to the
   base-class scalar reference loop (timed on a slice; pure Python is
   ~100× slower), query latency after the load, hash-plane costs per
-  chunk and ShardPool ingest vs shard count. Bar: plane-path speedup
-  >= 5× for SMB, MRB and HLL++.
+  chunk and ShardPool ingest vs shard count (median and quartiles of 5
+  interleaved rounds). Bar: plane-path speedup >= 5× for SMB, MRB and
+  HLL++.
 - ``obs`` — SMB recording with metrics disabled and enabled, against
   the ``BENCH_kernels.json`` baseline. Bar: < 2% and < 5% regression.
 - ``serve`` — an in-process :class:`~repro.serve.CardinalityServer`
@@ -120,9 +121,10 @@ KERNELS_SCHEMA = {
         "memoized_reread_us": "count",
         "footprint_bytes_per_item": "count",
     },
-    "engine": [
-        {"estimator": str, "shards": "count", "pool_mdps": "count"}
-    ],
+    "engine": [{
+        "estimator": str, "shards": "count", "pool_mdps": "count",
+        "pool_mdps_q1": "count", "pool_mdps_q3": "count",
+    }],
     "criteria": dict,
 }
 
@@ -317,32 +319,28 @@ def bench_plane(items: np.ndarray) -> dict:
     }
 
 
-def bench_engine(items: np.ndarray) -> list[dict]:
-    def pool(name: str, num_shards: int, seed: int) -> ShardPool:
-        return ShardPool.of(
-            name,
-            MEMORY_BITS * num_shards,
-            num_shards,
-            design_cardinality=max(items.size, 1_000_000) * num_shards,
-            seed=seed,
-        )
-
-    rows = []
-    for name in ("SMB", "HLL++"):
-        for num_shards in (1, 4, 8):
-            seconds = time_recording(
-                pool(name, num_shards, 0),
-                items,
-                warmup=pool(name, num_shards, 1),
-            )
-            rows.append(
-                {
-                    "estimator": name,
-                    "shards": num_shards,
-                    "pool_mdps": round(mdps(items.size, seconds), 3),
-                }
-            )
-    return rows
+def bench_engine(items: np.ndarray, repeats: int = 5) -> list[dict]:
+    """Pool ingest rate per (estimator, K): the median and quartiles of
+    ``repeats`` rounds, each timing every row once on fresh pools."""
+    design = max(items.size, 1_000_000)
+    rates: dict[tuple[str, int], list[float]] = {
+        (name, k): [] for name in ("SMB", "HLL++") for k in (1, 4, 8)
+    }
+    for __ in range(repeats):
+        for (name, k), samples in rates.items():
+            pools = [
+                ShardPool.of(name, MEMORY_BITS * k, k, design * k, seed)
+                for seed in (0, 1)
+            ]
+            seconds = time_recording(pools[0], items, warmup=pools[1])
+            samples.append(mdps(items.size, seconds))
+    return [
+        {"estimator": name, "shards": k} | dict(zip(
+            ("pool_mdps_q1", "pool_mdps", "pool_mdps_q3"),
+            np.percentile(samples, [25, 50, 75]).round(3).tolist(),
+        ))
+        for (name, k), samples in rates.items()
+    ]
 
 
 def measure_kernels(scale: float) -> dict:

@@ -16,7 +16,7 @@ Usage (from the repo root)::
 
     PYTHONPATH=src python tools/crash_smoke.py \
         [--items 30000] [--shards 2] [--checkpoint-every 8000] \
-        [--failpoint pipeline.worker-apply] [--ordinal 6] \
+        [--failpoint pipeline.worker-apply] [--ordinal 3] \
         [--tolerance 0.05]
 
 Exit code 0 when the cycle holds (crash observed, resume succeeded,
@@ -46,8 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="failpoint to crash at (default: pipeline.worker-apply)",
     )
     parser.add_argument(
-        "--ordinal", type=int, default=6,
-        help="1-based hit of the failpoint that crashes (default: 6)",
+        "--ordinal", type=int, default=3,
+        help="1-based hit of the failpoint that crashes (default: 3, "
+        "which every catalogued failpoint reaches in the default run)",
     )
     parser.add_argument(
         "--tolerance", type=float, default=0.05,
